@@ -7,35 +7,12 @@ Spatial ladder for a 48^3 input: 48 -> 24 -> 12 -> 24 -> 48.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, Layer,
                      MaxPool3d, Sigmoid, named_layers)
-
-
-@dataclass
-class Tensor4:
-    """(channels, depth, height, width) values with paired gradient storage."""
-
-    values: np.ndarray
-    grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.values.ndim != 4:
-            raise ValueError(f"Tensor4 must be 4D, got shape {self.values.shape}")
-        if self.grad is not None and self.grad.shape != self.values.shape:
-            raise ValueError("grad shape must match values")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        return self.grad
 
 
 @dataclass

@@ -3,12 +3,27 @@ arrays, each with an exact analytic backward pass.
 
 All convolutions are cross-correlations.  Spatial dims are ordered
 (depth, height, width) = (z, y, x).
+
+Conv3d runs on a flat padded layout: the zero-padded input (C, Dp, Hp, Wp)
+is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw) is the shift
+dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every tap is a
+plain slice.  The forward pass stacks the k³ shifted slices of the input
+into an im2col buffer `cols` of shape (k³·Ci, n) and makes one GEMM per
+chunk of n flat positions; the output is computed on the padded layout and
+its valid region cropped out.  The backward pass places grad_out on the
+same layout behind a margin of the largest shift and im2cols it on the Co
+side, so one (k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and grad_w
+(cols @ x_padᵀ).  A stride s keeps every s-th stride-1 output, and its
+gradient is grad_out scattered to every s-th position with zeros between.
+COLS_BYTES bounds each `cols` buffer, whatever the volume size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
+
+COLS_BYTES = 8 << 20  # bound on the im2col buffer of one conv call
 
 
 def _triple(v):
@@ -38,6 +53,30 @@ def conv3d_output_shape(spatial, k, stride, dilation, padding):
     return tuple(out)
 
 
+def _flat_padded(x, padding, k, dilation):
+    """x zero-padded and flattened to (C, Dp·Hp·Wp), its padded spatial
+    shape, and the flat shift of each kernel tap in (kd, kh, kw) order."""
+    pd, ph, pw = _triple(padding)
+    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    _, dp, hp, wp = xp.shape
+    offs = [dilation * (kd * hp * wp + kh * wp + kw) for kd, kh, kw in np.ndindex(k, k, k)]
+    return xp.reshape(x.shape[0], -1), (dp, hp, wp), offs
+
+
+def _im2col_chunks(src, starts, lo, hi):
+    """Yield (a, b, cols) over chunks [a, b) of [lo, hi); row block t of the
+    reused (len(starts)·C, b - a) buffer cols holds src[:, starts[t] + a :
+    starts[t] + b].  cols holds at most COLS_BYTES, or one column."""
+    c = src.shape[0]
+    n = max(1, COLS_BYTES // (len(starts) * c * src.itemsize))
+    cols = np.empty((len(starts) * c, min(n, hi - lo)), dtype=src.dtype)
+    for a in range(lo, hi, n):
+        b = min(a + n, hi)
+        for t, s in enumerate(starts):
+            cols[t * c:(t + 1) * c, :b - a] = src[:, s + a:s + b]
+        yield a, b, cols[:, :b - a]
+
+
 def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
     """Dilated cross-correlation with bias.
 
@@ -49,53 +88,46 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
     if not (k == k2 == k3):
         raise ValueError("kernel must be cubic")
-    pd, ph, pw = _triple(padding)
-    do, ho, wo = conv3d_output_shape((d, h, wd), k, stride, dilation, padding)
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    y = np.empty((co, do, ho, wo), dtype=x.dtype)
-    y[:] = b[:, None, None, None]
-    for kd in range(k):
-        z0 = kd * dilation
-        for kh in range(k):
-            y0 = kh * dilation
-            for kw in range(k):
-                x0 = kw * dilation
-                xs = xp[:,
-                        z0:z0 + (do - 1) * stride + 1:stride,
-                        y0:y0 + (ho - 1) * stride + 1:stride,
-                        x0:x0 + (wo - 1) * stride + 1:stride]
-                y += np.tensordot(w[:, :, kd, kh, kw], xs, axes=(1, 0))
-    return y
+    conv3d_output_shape((d, h, wd), k, stride, dilation, padding)  # stride divides
+    d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
+    xf, (_, hp, wp), offs = _flat_padded(x, padding, k, dilation)
+    wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
+    yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
+    for a, e, cols in _im2col_chunks(xf, offs, 0, xf.shape[1] - offs[-1]):
+        np.matmul(wm, cols, out=yf[:, a:e])
+    del xf, cols  # free before the crop copy; cols views the im2col buffer
+    return yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride] + b[:, None, None, None]
 
 
 def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     """Gradients of conv3d_forward; returns (grad_x, grad_w, grad_b)."""
     ci, d, h, wd = x.shape
-    co = w.shape[0]
-    k = w.shape[2]
-    pd, ph, pw = _triple(padding)
+    co, k = w.shape[0], w.shape[2]
     do, ho, wo = conv3d_output_shape((d, h, wd), k, stride, dilation, padding)
     if grad_out.shape != (co, do, ho, wo):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(co, do, ho, wo)}")
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    gb = grad_out.sum(axis=(1, 2, 3))
-    for kd in range(k):
-        z0 = kd * dilation
-        for kh in range(k):
-            y0 = kh * dilation
-            for kw in range(k):
-                x0 = kw * dilation
-                sl = (slice(None),
-                      slice(z0, z0 + (do - 1) * stride + 1, stride),
-                      slice(y0, y0 + (ho - 1) * stride + 1, stride),
-                      slice(x0, x0 + (wo - 1) * stride + 1, stride))
-                xs = xp[sl]
-                gw[:, :, kd, kh, kw] = np.tensordot(grad_out, xs, axes=([1, 2, 3], [1, 2, 3]))
-                gxp[sl] += np.tensordot(w[:, :, kd, kh, kw].T, grad_out, axes=(1, 0))
-    gx = gxp[:, pd:pd + d, ph:ph + h, pw:pw + wd]
-    return np.ascontiguousarray(gx), gw, gb
+    d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
+    xf, (dp, hp, wp), offs = _flat_padded(x, padding, k, dilation)
+    # grad_out on the stride-1 padded layout, behind a margin of the largest
+    # shift: grad_x at flat q reads tap t at q + margin - offs[t].
+    margin = offs[-1]
+    gf = np.zeros((co, margin + xf.shape[1]), dtype=x.dtype)
+    g1 = gf[:, margin:margin + d1 * hp * wp].reshape(co, d1, hp, wp)
+    g1[:, ::stride, :h1:stride, :w1:stride] = grad_out
+    # Nonzero x and kept grad_x lie between the first and last unpadded voxel.
+    pd, ph, pw = _triple(padding)
+    lo = (pd * hp + ph) * wp + pw
+    hi = ((pd + d - 1) * hp + ph + h - 1) * wp + pw + wd
+    wm_t = w.transpose(1, 2, 3, 4, 0).reshape(ci, -1)
+    gxf = np.empty_like(xf)
+    gw_t = np.zeros((len(offs) * co, ci), dtype=w.dtype)
+    for a, e, cols in _im2col_chunks(gf, [margin - o for o in offs], lo, hi):
+        np.matmul(wm_t, cols, out=gxf[:, a:e])
+        gw_t += cols @ xf[:, a:e].T
+    del xf, gf, cols  # free before the crop copy
+    gx = gxf.reshape(ci, dp, hp, wp)[:, pd:pd + d, ph:ph + h, pw:pw + wd].copy()
+    gw = gw_t.reshape(k, k, k, co, ci).transpose(3, 4, 0, 1, 2).copy()
+    return gx, gw, grad_out.sum(axis=(1, 2, 3))
 
 
 def conv_transpose3d_forward(x, w, b, stride=2):
@@ -224,7 +256,8 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     """Per-channel normalization over spatial positions.
 
     Training mode uses batch statistics and updates the running buffers in
-    place; inference mode uses the running statistics.  Returns (y, cache).
+    place; inference mode uses the running statistics.  Either is applied
+    as one per-channel scale and shift, cast to x.dtype.  Returns (y, cache).
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -238,20 +271,20 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        mean = running_mean
-        var = running_var
+        mean, var = running_mean.copy(), running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xr - mean[:, None]) * inv_std[:, None]
-    y = (gamma[:, None] * xhat + beta[:, None]).reshape(x.shape).astype(x.dtype)
-    cache = (xhat, inv_std, gamma, training)
-    return y, cache
+    scale = gamma * inv_std
+    shift = beta - mean * scale
+    y = xr * scale.astype(x.dtype)[:, None] + shift.astype(x.dtype)[:, None]
+    return y.reshape(x.shape), (xr, mean, inv_std, gamma, training)
 
 
 def batchnorm_backward(cache, grad_out):
     """Returns (grad_x, grad_gamma, grad_beta)."""
-    xhat, inv_std, gamma, training = cache
+    xr, mean, inv_std, gamma, training = cache
     c = grad_out.shape[0]
     gy = grad_out.reshape(c, -1)
+    xhat = (xr - mean[:, None]) * inv_std[:, None]
     ggamma = (gy * xhat).sum(axis=1)
     gbeta = gy.sum(axis=1)
     if training:

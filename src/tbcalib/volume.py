@@ -89,15 +89,6 @@ class _Grid3:
         w = np.asarray(world_xyz, dtype=np.float64)
         return (w - self.origin) / self.spacing
 
-    def voxel_centers_world(self):
-        """World coordinates of every voxel center, shape (nz, ny, nx, 3)."""
-        nz, ny, nx = self.voxels.shape
-        zi, yi, xi = np.meshgrid(
-            np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij"
-        )
-        idx = np.stack([xi, yi, zi], axis=-1).astype(np.float64)
-        return self.origin + idx * self.spacing
-
     def same_grid(self, other) -> bool:
         return (
             self.voxels.shape == other.voxels.shape

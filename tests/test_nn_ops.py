@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,116 @@ def test_dilated_equals_zero_inflated_kernel():
         a = ops.conv3d_forward(x, w, b, stride=1, dilation=dilation, padding=dilation)
         c = ops.conv3d_forward(x, w_inflated, b, stride=1, dilation=1, padding=dilation)
         np.testing.assert_allclose(a, c, atol=1e-10)
+
+
+def per_tap_conv(x, w, b, stride, dilation, padding):
+    """Direct per-tap reference: one strided view of the padded input per
+    kernel tap.  Returns (y, backward) where backward(g) -> (gx, gw, gb)."""
+    k = w.shape[2]
+    p = padding
+    do, ho, wo = ops.conv3d_output_shape(x.shape[1:], k, stride, dilation, p)
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+
+    def view(kd, kh, kw):
+        z0, y0, x0 = kd * dilation, kh * dilation, kw * dilation
+        return (slice(None),
+                slice(z0, z0 + (do - 1) * stride + 1, stride),
+                slice(y0, y0 + (ho - 1) * stride + 1, stride),
+                slice(x0, x0 + (wo - 1) * stride + 1, stride))
+
+    y = np.broadcast_to(b[:, None, None, None], (w.shape[0], do, ho, wo)).copy()
+    for tap in np.ndindex(k, k, k):
+        y += np.tensordot(w[(slice(None), slice(None)) + tap], xp[view(*tap)], axes=(1, 0))
+
+    def backward(g):
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(w)
+        for tap in np.ndindex(k, k, k):
+            sl = view(*tap)
+            gw[(slice(None), slice(None)) + tap] = np.tensordot(
+                g, xp[sl], axes=([1, 2, 3], [1, 2, 3]))
+            gxp[sl] += np.tensordot(w[(slice(None), slice(None)) + tap].T, g, axes=(1, 0))
+        d, h, wd = x.shape[1:]
+        return gxp[:, p:p + d, p:p + h, p:p + wd], gw, g.sum(axis=(1, 2, 3))
+
+    return y, backward
+
+
+# (ci, co, side, k, stride, dilation, padding)
+ORACLE_CASES = [
+    (3, 2, 6, 1, 1, 1, 0),
+    (3, 2, 7, 3, 1, 1, 1),
+    (2, 3, 9, 3, 1, 2, 2),
+    (2, 2, 11, 3, 1, 3, 3),
+    (1, 4, 7, 3, 1, 1, 0),
+    (3, 2, 9, 3, 2, 1, 1),
+    (2, 3, 11, 3, 2, 2, 1),
+    (8, 6, 26, 3, 1, 1, 1),  # flat length spans several im2col chunks
+]
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("ci,co,side,k,stride,dilation,padding", ORACLE_CASES)
+def test_conv_matches_per_tap_oracle(ci, co, side, k, stride, dilation, padding, dtype, rtol):
+    """Forward and backward against the per-tap loop run in float64 on the
+    same (dtype-rounded) inputs; tolerances are relative to the largest
+    reference entry."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(ci, side, side, side)).astype(dtype)
+    w = rng.normal(size=(co, ci, k, k, k)).astype(dtype)
+    b = rng.normal(size=co).astype(dtype)
+    y = ops.conv3d_forward(x, w, b, stride, dilation, padding)
+    ref, ref_backward = per_tap_conv(x.astype(np.float64), w.astype(np.float64),
+                                     b.astype(np.float64), stride, dilation, padding)
+    g = rng.normal(size=y.shape).astype(dtype)
+    got = (y,) + ops.conv3d_backward(x, w, g, stride, dilation, padding)
+    want = (ref,) + ref_backward(g.astype(np.float64))
+    for name, a, r in zip(("y", "grad_x", "grad_w", "grad_b"), got, want):
+        assert a.dtype == dtype and a.shape == r.shape, name
+        np.testing.assert_allclose(a, r, rtol=rtol, atol=rtol * np.abs(r).max(), err_msg=name)
+
+
+def test_oracle_cases_cross_an_im2col_chunk_boundary():
+    """Forward stacks ci, backward co channels per tap; at least one oracle
+    case must overflow the buffer on both sides, even in float32."""
+    assert any(min(ci, co) * k ** 3 * side ** 3 * 4 > ops.COLS_BYTES
+               for ci, co, side, k, *_ in ORACLE_CASES)
+
+
+def test_conv_peak_allocation_is_bounded_by_cols_budget():
+    """Peak traced allocation of the dec2 conv (32->16 channels, 3^3, 48^3,
+    float32) stays within its padded input and gradient arrays plus the
+    im2col budget.  Measured with the 8 MiB budget: forward 32.1 MB against
+    a 33.1 MB bound, backward 48.9 MB against 49.8 MB; with the whole im2col
+    matrix in one chunk, forward reached 445 MB."""
+    ci, co, n = 32, 16, 48
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(ci, n, n, n)).astype(np.float32)
+    w = rng.normal(size=(co, ci, 3, 3, 3)).astype(np.float32)
+    b = np.zeros(co, np.float32)
+    g = rng.normal(size=(co, n, n, n)).astype(np.float32)
+    padded = (n + 2) ** 3 * 4
+    margin = 2 * ((n + 2) ** 2 + (n + 2) + 1) * 4
+    slack = 1 << 20
+    bounds = {
+        # padded x, y on the padded layout
+        "forward": ci * padded + co * n * (n + 2) ** 2 * 4,
+        # padded x, padded grad_out behind its margin, padded grad_x
+        "backward": ci * padded + co * (padded + margin) + ci * padded,
+    }
+    calls = {
+        "forward": lambda: ops.conv3d_forward(x, w, b, 1, 1, 1),
+        "backward": lambda: ops.conv3d_backward(x, w, g, 1, 1, 1),
+    }
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bounds[name] + ops.COLS_BYTES + slack, (name, peak / 1e6)
 
 
 # --- transposed convolution ------------------------------------------------------
