@@ -4,10 +4,16 @@ From a binary canal mask: split left/right components, find the outermost
 anchor points, iterate the mid-sagittal axis to a fixed point, fit the canal
 plane by total least squares, assemble an orthonormal frame, and resample
 the volume onto an isotropic grid aligned with that frame.
+
+Resampling is one affine map, applied by `ndimage.affine_transform`.  Mask
+work is confined to the foreground's bounding box: each mask is labelled once
+on that crop (`segment.largest_components`), and resampled only where it can
+land.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,9 +23,9 @@ from scipy import ndimage
 
 from .losses import dsc_metric
 from .phantom import RigidPose
+from .segment import MIN_COMPONENT_VOXELS, largest_components
 from .volume import LabelMask, Volume
 
-MIN_COMPONENT_VOXELS = 20
 DEFAULT_L0_MM = 0.1
 DEFAULT_MAX_ITER = 50
 DEFAULT_OUT_SPACING = 0.5
@@ -105,20 +111,15 @@ class CalibrationReport:
 def split_components(mask: LabelMask):
     """26-connected component split; returns (left, right) world-coordinate
     point sets (n, 3), assigned by world-x centroid."""
-    if mask.foreground_count() == 0:
+    labeled, keep, box = largest_components(mask.voxels)
+    if labeled.size == 0:
         raise InsufficientAnchorsError("mask is empty")
-    labeled, n = ndimage.label(mask.voxels, structure=np.ones((3, 3, 3), dtype=int))
-    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
-    order = np.argsort(sizes)[::-1]
-    keep = [int(order[i]) + 1 for i in range(min(2, n)) if sizes[order[i]] >= MIN_COMPONENT_VOXELS]
     if len(keep) < 2:
         raise InsufficientAnchorsError(
             f"insufficient anchors: need two components with >= {MIN_COMPONENT_VOXELS} voxels")
-    sets = []
-    for lab in keep:
-        zz, yy, xx = np.nonzero(labeled == lab)
-        idx = np.stack([xx, yy, zz], axis=1)
-        sets.append(mask.world(idx))
+    offset = [sl.start for sl in box[::-1]]  # (x, y, z)
+    sets = [mask.world(np.stack(np.nonzero(labeled == lab)[::-1], axis=1) + offset)
+            for lab in keep]
     if sets[0][:, 0].mean() <= sets[1][:, 0].mean():
         return sets[0], sets[1]
     return sets[1], sets[0]
@@ -272,6 +273,11 @@ def estimate_transform(frame: CalibrationFrame) -> RigidPose:
     return RigidPose(rt, -rt @ frame.origin)
 
 
+def _box_corners(lo, hi) -> np.ndarray:
+    """The 8 corners (x, y, z) of the axis-aligned box [lo, hi], shape (8, 3)."""
+    return np.array(list(itertools.product(*zip(lo, hi))), dtype=np.float64)
+
+
 def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
              pad_voxels: int = BBOX_PAD_VOXELS):
     """Resample a Volume (trilinear) or LabelMask (nearest) onto an isotropic
@@ -280,41 +286,38 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
     `pose` maps world to calibrated coordinates.  The output grid covers the
     transformed bounding box of the input, padded by `pad_voxels` per side;
     out-of-field intensities take the input minimum (air), labels take 0.
+
+    Output index i (x, y, z) samples input index A @ i + c: one affine map,
+    applied by one `ndimage.affine_transform` call.  A mask voxel can be 1
+    only where its nearest source index lies in the foreground's bounding
+    box, so a mask is sampled only on the output box that box maps to.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     nx, ny, nz = vol.dims
-    corners_idx = np.array([[x, y, z]
-                            for x in (0, nx - 1)
-                            for y in (0, ny - 1)
-                            for z in (0, nz - 1)], dtype=np.float64)
-    corners_cal = pose.apply(vol.world(corners_idx))
+    corners_cal = pose.apply(vol.world(_box_corners((0, 0, 0), (nx - 1, ny - 1, nz - 1))))
     lo = corners_cal.min(axis=0) - pad_voxels * spacing
     hi = corners_cal.max(axis=0) + pad_voxels * spacing
     out_dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int) + 1, 1)
-    onx, ony, onz = (int(v) for v in out_dims)
 
     inv = pose.inverse()
+    a = inv.rotation * spacing / vol.spacing[:, None]
+    c = (inv.rotation @ lo + inv.translation - vol.origin) / vol.spacing
     is_mask = isinstance(vol, LabelMask)
-    order = 0 if is_mask else 1
-    fill = 0 if is_mask else float(vol.voxels.min())
-    out = np.empty((onz, ony, onx), dtype=vol.voxels.dtype)
-    xs = lo[0] + np.arange(onx) * spacing
-    ys = lo[1] + np.arange(ony) * spacing
-    rot = inv.rotation
-    tr = inv.translation
-    sp = vol.spacing
-    org = vol.origin
-    for iz in range(onz):
-        q = np.empty((ony, onx, 3), dtype=np.float64)
-        q[..., 0] = xs[None, :]
-        q[..., 1] = ys[:, None]
-        q[..., 2] = lo[2] + iz * spacing
-        p = q @ rot.T + tr
-        idx = (p - org) / sp
-        out[iz] = ndimage.map_coordinates(
-            vol.voxels, [idx[..., 2], idx[..., 1], idx[..., 0]],
-            order=order, mode="constant", cval=fill)
+    out = np.zeros(out_dims[::-1], dtype=vol.voxels.dtype)
+    o_lo, o_hi = np.zeros(3, dtype=int), out_dims - 1
+    if is_mask:
+        # An empty mask samples zeros anywhere: take the box of voxel 0.
+        found = ndimage.find_objects(vol.voxels) or [(slice(0, 1),) * 3]
+        src_box = found[0][::-1]  # (x, y, z), widened by half a voxel for rounding
+        src = _box_corners([b.start - 0.5 for b in src_box], [b.stop - 0.5 for b in src_box])
+        dst = np.linalg.solve(a, (src - c).T)
+        o_lo = np.clip(np.floor(dst.min(axis=1)).astype(int) - 1, 0, out_dims - 1)
+        o_hi = np.clip(np.ceil(dst.max(axis=1)).astype(int) + 1, 0, out_dims - 1)
+    sub = tuple(slice(l, h + 1) for l, h in zip(o_lo[::-1], o_hi[::-1]))
+    ndimage.affine_transform(vol.voxels, a[::-1, ::-1], (c + a @ o_lo)[::-1], output=out[sub],
+                             order=0 if is_mask else 1, mode="constant",
+                             cval=0 if is_mask else float(vol.voxels.min()))
     cls = LabelMask if is_mask else Volume
     return cls(voxels=out, spacing=(spacing,) * 3, origin=lo)
 
@@ -341,21 +344,12 @@ def rank_result(calibrated_mask: LabelMask):
     the range overlap; anything else (including a failed component split)
     is Failed.  Returns (rank, slice_gap, mirror_dsc).
     """
-    try:
-        split_components(calibrated_mask)
-    except InsufficientAnchorsError:
+    labeled, keep, box = largest_components(calibrated_mask.voxels)
+    if len(keep) < 2:
         return "Failed", float("nan"), float("nan")
-    labeled, n = ndimage.label(calibrated_mask.voxels, structure=np.ones((3, 3, 3), dtype=int))
-    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
-    top = np.argsort(sizes)[::-1][:2] + 1
-    ranges = []
-    centroids = []
-    for lab in top:
-        zz = np.nonzero(labeled == lab)[0]
-        ranges.append((zz.min(), zz.max()))
-        centroids.append(zz.mean())
-    overlap = ranges[0][0] <= ranges[1][1] and ranges[1][0] <= ranges[0][1]
-    gap = float(abs(centroids[0] - centroids[1]))
+    zs = [np.nonzero(labeled == lab)[0] + box[0].start for lab in keep]
+    overlap = zs[0].min() <= zs[1].max() and zs[1].min() <= zs[0].max()
+    gap = float(abs(zs[0].mean() - zs[1].mean()))
     mirror = dsc_metric(calibrated_mask, mirror_mask_x(calibrated_mask))
     if not overlap:
         return "Failed", gap, mirror

@@ -20,7 +20,8 @@ from .nn import MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg, spec_from_text,
                       spec_to_text, write_pose)
-from .segment import EmptySegmentationError, sliding_window_infer, threshold_segment
+from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
+                      threshold_segment)
 from .train import train_network
 from .volume import DEFAULT_WINDOW, read_mvol, write_mvol
 
@@ -217,19 +218,15 @@ def cmd_evaluate(args) -> int:
 
 
 def _per_component_dsc(pred, truth):
-    """Dice per ground-truth component (left/right), against the whole prediction."""
-    try:
-        left, right = cal.split_components(truth)
-    except cal.InsufficientAnchorsError:
+    """Dice per ground-truth component (left, then right), against the whole prediction."""
+    labeled, keep, box = largest_components(truth.voxels)
+    if len(keep) < 2:
         return []
     out = []
-    for pts in (left, right):
-        idx = np.rint(truth.index(pts)).astype(int)
+    for lab in sorted(keep, key=lambda lab: np.nonzero(labeled == lab)[2].mean()):
         comp = np.zeros_like(truth.voxels)
-        comp[idx[:, 2], idx[:, 1], idx[:, 0]] = 1
-        inter = int(np.count_nonzero(comp & (pred.voxels > 0)))
-        na, nb = int(comp.sum()), int(pred.foreground_count())
-        out.append(2.0 * inter / (na + nb) if na + nb else 1.0)
+        comp[box] = labeled == lab
+        out.append(dsc_metric(comp, pred))
     return out
 
 

@@ -17,16 +17,30 @@ class EmptySegmentationError(Exception):
     pass
 
 
+def largest_components(binary: np.ndarray, n_keep: int = 2,
+                       min_voxels: int = MIN_COMPONENT_VOXELS):
+    """Label the 26-connected components of `binary` on its foreground's
+    bounding box and pick the n largest of at least min_voxels.
+
+    Returns (labeled, keep, box): the labels of binary[box], numbered in
+    raster order as on the full array (add each slice's start to map an
+    index back), and the kept labels, largest first.  An all-zero input
+    gives an empty box."""
+    found = ndimage.find_objects(np.asarray(binary, dtype=bool).view(np.uint8))
+    box = found[0] if found else (slice(0, 0),) * 3
+    labeled, _ = ndimage.label(binary[box], structure=np.ones((3, 3, 3), dtype=int))
+    sizes = np.bincount(labeled.ravel())[1:]
+    top = np.argsort(sizes)[::-1][:n_keep]
+    return labeled, top[sizes[top] >= min_voxels] + 1, box
+
+
 def keep_largest_components(binary: np.ndarray, n_keep: int = 2,
                             min_voxels: int = MIN_COMPONENT_VOXELS) -> np.ndarray:
     """Keep the n largest 26-connected components of at least min_voxels."""
-    labeled, n = ndimage.label(binary, structure=np.ones((3, 3, 3), dtype=int))
-    if n == 0:
-        return np.zeros_like(binary, dtype=np.uint8)
-    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
-    order = np.argsort(sizes)[::-1][:n_keep]
-    keep = [int(i) + 1 for i in order if sizes[i] >= min_voxels]
-    return np.isin(labeled, keep).astype(np.uint8)
+    labeled, keep, box = largest_components(binary, n_keep, min_voxels)
+    out = np.zeros(np.shape(binary), dtype=np.uint8)
+    out[box] = np.isin(labeled, keep)
+    return out
 
 
 def threshold_segment(vol: Volume, band) -> LabelMask:

@@ -113,8 +113,8 @@ class LabelMask(_Grid3):
     def __post_init__(self):
         self.voxels = np.ascontiguousarray(self.voxels, dtype=np.uint8)
         super().__post_init__()
-        bad = np.setdiff1d(np.unique(self.voxels), [0, 1])
-        if bad.size:
+        if self.voxels.max() > 1:
+            bad = np.setdiff1d(np.unique(self.voxels), [0, 1])
             raise ValueError(f"mask labels must be 0/1, found {bad}")
 
     def foreground_count(self) -> int:

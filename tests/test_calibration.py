@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tbcalib import calibration as cal
+from tbcalib.losses import dsc_metric
 from tbcalib.phantom import (PhantomSpec, RigidPose, generate_phantom,
                              rotation_angle_deg, rotation_from_euler_deg)
-from tbcalib.volume import LabelMask
+from tbcalib.segment import MIN_COMPONENT_VOXELS, keep_largest_components
+from tbcalib.volume import LabelMask, Volume
 
 
 def blob_mask(centers, side=40, spacing=0.5):
@@ -58,6 +61,116 @@ def test_split_components_keeps_two_largest():
     m = LabelMask(voxels=vox)
     left, right = cal.split_components(m)
     assert {len(left), len(right)} == {125, 64}
+
+
+# Reference: full-grid labelling as it was before components were labelled on
+# the foreground's bounding box.
+
+def _full_grid_top(voxels, n_keep=2, min_voxels=MIN_COMPONENT_VOXELS):
+    labeled, n = ndimage.label(voxels, structure=np.ones((3, 3, 3), dtype=int))
+    sizes = ndimage.sum_labels(np.ones_like(labeled), labeled, index=np.arange(1, n + 1))
+    order = np.argsort(sizes)[::-1][:n_keep]
+    return labeled, [int(i) + 1 for i in order if sizes[i] >= min_voxels]
+
+
+def _reference_split(mask):
+    labeled, keep = _full_grid_top(mask.voxels)
+    if len(keep) < 2:
+        return None
+    sets = []
+    for lab in keep:
+        zz, yy, xx = np.nonzero(labeled == lab)
+        sets.append(mask.world(np.stack([xx, yy, zz], axis=1)))
+    if sets[0][:, 0].mean() <= sets[1][:, 0].mean():
+        return sets[0], sets[1]
+    return sets[1], sets[0]
+
+
+def _reference_rank(mask):
+    labeled, keep = _full_grid_top(mask.voxels)
+    if len(keep) < 2:
+        return "Failed", float("nan"), float("nan")
+    zs = [np.nonzero(labeled == lab)[0] for lab in keep]
+    overlap = zs[0].min() <= zs[1].max() and zs[1].min() <= zs[0].max()
+    gap = float(abs(zs[0].mean() - zs[1].mean()))
+    mirror = dsc_metric(mask, cal.mirror_mask_x(mask))
+    if not overlap:
+        return "Failed", gap, mirror
+    if gap <= cal.RANK_SLICE_GAP and mirror >= cal.RANK_MIRROR_DSC:
+        return "Excellent", gap, mirror
+    return "Good", gap, mirror
+
+
+def _box(vox, lo, hi):
+    """Set the index box [lo, hi) (x, y, z) to 1."""
+    vox[lo[2]:hi[2], lo[1]:hi[1], lo[0]:hi[0]] = 1
+
+
+def _labelling_cases():
+    cases = {}
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (6, 17, 18), (9, 20, 21))       # three equal 27-voxel components
+    _box(vox, (30, 18, 19), (33, 21, 22))
+    _box(vox, (20, 5, 30), (23, 8, 33))
+    cases["three_tied"] = vox
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (5, 12, 14), (8, 15, 17))       # two equal components, mirror pair
+    _box(vox, (32, 12, 14), (35, 15, 17))
+    cases["two_tied"] = vox
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (3, 10, 12), (8, 15, 17))       # 125
+    _box(vox, (30, 11, 13), (34, 15, 17))     # 64
+    _box(vox, (20, 30, 5), (22, 32, 7))       # 8, below MIN_COMPONENT_VOXELS
+    cases["small_third"] = vox
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (12, 7, 9), (17, 12, 14))
+    cases["single"] = vox
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (0, 0, 0), (4, 6, 5))           # touches three low faces
+    _box(vox, (35, 34, 36), (40, 40, 40))     # touches three high faces
+    cases["grid_edges"] = vox
+    cases["empty"] = np.zeros((40, 40, 40), dtype=np.uint8)
+    # Thresholded noise: many components, with ties among the small ones.
+    vol, _, _ = small_phantom(noise_amplitude=500.0, seed=5)
+    cases["noisy_band"] = ((vol.voxels >= 300.0) & (vol.voxels <= 900.0)).astype(np.uint8)
+    return cases
+
+
+LABELLING_CASES = _labelling_cases()
+
+
+@pytest.mark.parametrize("name", sorted(LABELLING_CASES))
+def test_labelling_matches_full_grid_oracle(name):
+    vox = LABELLING_CASES[name]
+    mask = LabelMask(voxels=vox, spacing=(0.5, 0.6, 0.7), origin=(-10.0, -12.0, -7.0))
+    for n_keep in (1, 2, 3, 6):
+        for min_voxels in (1, MIN_COMPONENT_VOXELS):
+            labeled, keep = _full_grid_top(vox, n_keep, min_voxels)
+            np.testing.assert_array_equal(
+                keep_largest_components(vox.astype(bool), n_keep, min_voxels),
+                np.isin(labeled, keep).astype(np.uint8))
+    ref = _reference_split(mask)
+    if ref is None:
+        with pytest.raises(cal.InsufficientAnchorsError):
+            cal.split_components(mask)
+    else:
+        for got, want in zip(cal.split_components(mask), ref):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(cal.rank_result(mask), _reference_rank(mask))
+
+
+def test_rank_result_labels_once(monkeypatch):
+    calls = []
+    label = ndimage.label
+
+    def counting_label(*args, **kwargs):
+        calls.append(1)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counting_label)
+    rank, _, _ = cal.rank_result(blob_mask([(10, 20, 20), (29, 20, 20)]))
+    assert rank == "Excellent"
+    assert len(calls) == 1
 
 
 # --- anchors -------------------------------------------------------------------
@@ -177,7 +290,6 @@ def test_decomposition_angles():
 # --- resampling --------------------------------------------------------------------
 
 def test_resample_identity_preserves_values():
-    from tbcalib.volume import Volume
     rng = np.random.default_rng(2)
     v = Volume(voxels=rng.normal(size=(10, 12, 14)).astype(np.float32),
                spacing=(0.5, 0.5, 0.5), origin=(-3.0, -3.0, -2.5))
@@ -198,6 +310,87 @@ def test_resample_mask_nearest_binary():
         0.3 * m.foreground_count()
 
 
+def _reference_resample(vol, pose, spacing=cal.DEFAULT_OUT_SPACING,
+                        pad_voxels=cal.BBOX_PAD_VOXELS):
+    """Per-slice map_coordinates on a hand-built coordinate grid, as resample
+    was written before it became one affine_transform call."""
+    nx, ny, nz = vol.dims
+    corners_idx = np.array([[x, y, z] for x in (0, nx - 1) for y in (0, ny - 1)
+                            for z in (0, nz - 1)], dtype=np.float64)
+    corners_cal = pose.apply(vol.world(corners_idx))
+    lo = corners_cal.min(axis=0) - pad_voxels * spacing
+    hi = corners_cal.max(axis=0) + pad_voxels * spacing
+    onx, ony, onz = (int(v) for v in np.maximum(np.ceil((hi - lo) / spacing).astype(int) + 1, 1))
+    inv = pose.inverse()
+    is_mask = isinstance(vol, LabelMask)
+    fill = 0 if is_mask else float(vol.voxels.min())
+    out = np.empty((onz, ony, onx), dtype=vol.voxels.dtype)
+    xs = lo[0] + np.arange(onx) * spacing
+    ys = lo[1] + np.arange(ony) * spacing
+    for iz in range(onz):
+        q = np.empty((ony, onx, 3), dtype=np.float64)
+        q[..., 0] = xs[None, :]
+        q[..., 1] = ys[:, None]
+        q[..., 2] = lo[2] + iz * spacing
+        idx = (q @ inv.rotation.T + inv.translation - vol.origin) / vol.spacing
+        out[iz] = ndimage.map_coordinates(
+            vol.voxels, [idx[..., 2], idx[..., 1], idx[..., 0]],
+            order=0 if is_mask else 1, mode="constant", cval=fill)
+    return out, lo
+
+
+OBLIQUE_POSES = [
+    RigidPose(rotation_from_euler_deg(12.0, -10.0, 15.0), np.array([0.7, -1.1, 0.4])),
+    RigidPose(rotation_from_euler_deg(-14.0, 11.0, -13.0), np.array([-0.3, 0.9, -1.6])),
+    RigidPose(rotation_from_euler_deg(10.5, 14.5, -11.0), np.array([1.2, 0.2, 0.8])),
+    # Axis-aligned: the foreground box maps onto an output box with no slack.
+    RigidPose(np.eye(3), np.array([0.37, -0.21, 0.13])),
+    RigidPose(rotation_from_euler_deg(0.0, 0.0, 90.0), np.array([-0.41, 0.29, 0.17])),
+]
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(11)
+    shape = (18, 22, 26)  # (nz, ny, nx)
+    spacing, origin = (0.45, 0.6, 0.8), (-5.0, -6.5, -7.0)
+    vol = Volume(voxels=ndimage.gaussian_filter(rng.normal(size=shape), 1.0).astype(np.float32)
+                 * 1000.0 - 200.0, spacing=spacing, origin=origin)
+    masks = {}
+    vox = np.zeros(shape, dtype=np.uint8)
+    vox[6:11, 8:13, 3:9] = 1
+    vox[7:12, 9:14, 17:23] = 1
+    masks["interior"] = vox
+    vox = np.zeros(shape, dtype=np.uint8)
+    vox[:4, 15:, :5] = 1         # touches the low-z, high-y and low-x faces
+    vox[12:, :3, 20:] = 1        # touches the high-z, low-y and high-x faces
+    masks["grid_edge"] = vox
+    masks["empty"] = np.zeros(shape, dtype=np.uint8)
+    return vol, {k: LabelMask(voxels=v, spacing=spacing, origin=origin) for k, v in masks.items()}
+
+
+@pytest.mark.parametrize("pose_id", range(len(OBLIQUE_POSES)))
+def test_resample_matches_per_slice_oracle(pose_id):
+    pose = OBLIQUE_POSES[pose_id]
+    # Axis-aligned poses put samples exactly on the input's edge, where
+    # mode="constant" jumps to the fill value on a last-bit difference of the
+    # sample position: compare only masks that stay off the edge there.
+    oblique = pose_id < 3
+    vol, masks = _oracle_inputs()
+    ref, lo = _reference_resample(vol, pose, spacing=0.5)
+    out = cal.resample(vol, pose, spacing=0.5)
+    assert out.voxels.dtype == np.float32
+    np.testing.assert_array_equal(out.origin, lo)
+    if oblique:
+        np.testing.assert_allclose(out.voxels, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+    for name, mask in masks.items():
+        ref, lo = _reference_resample(mask, pose, spacing=0.5)
+        out = cal.resample(mask, pose, spacing=0.5)
+        assert isinstance(out, LabelMask)
+        np.testing.assert_array_equal(out.origin, lo)
+        if oblique or name != "grid_edge":
+            np.testing.assert_array_equal(out.voxels, ref, err_msg=name)
+        assert (out.foreground_count() == 0) == (name == "empty")
+
 def test_resample_rejects_bad_spacing():
     m = blob_mask([(10, 20, 20), (30, 20, 20)])
     with pytest.raises(ValueError):
@@ -215,7 +408,6 @@ def test_mirror_mask_moves_one_sided_blob():
     one_sided = LabelMask(voxels=(m.voxels * (np.arange(40) < 20)[None, None, :]).astype(np.uint8),
                           spacing=m.spacing, origin=m.origin)
     mirrored = cal.mirror_mask_x(one_sided)
-    from tbcalib.losses import dsc_metric
     assert dsc_metric(one_sided, mirrored) == 0.0
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tbcalib.cli import main
+from tbcalib.cli import _per_component_dsc, main
 from tbcalib.phantom import read_pose
 from tbcalib.volume import LabelMask, read_mvol, write_mvol
 
@@ -131,6 +131,18 @@ def test_evaluate_against_truth(phantom_dir, tmp_path):
     metrics = json.loads(metrics_path.read_text())
     assert metrics["dsc"] == 1.0
     assert len(metrics["per_component_dsc"]) == 2
+
+
+def test_per_component_dsc_scores_left_then_right(phantom_dir):
+    truth = read_mvol(phantom_dir / "mask.mvol")
+    nx = truth.dims[0]
+    left = truth.voxels * (np.arange(nx) < nx // 2)[None, None, :]
+    n_left, n_all = int(left.sum()), truth.foreground_count()
+    pred = LabelMask(voxels=left, spacing=truth.spacing, origin=truth.origin)
+    assert _per_component_dsc(pred, truth) == [1.0, 0.0]
+    assert _per_component_dsc(truth, truth) == [2.0 * n_left / (n_left + n_all),
+                                                2.0 * (n_all - n_left) / (n_all - n_left + n_all)]
+    assert _per_component_dsc(truth, pred) == []
 
 
 def test_train_and_infer(tmp_path):

@@ -55,6 +55,8 @@ def test_voxels_read_only():
 def test_mask_rejects_other_labels():
     with pytest.raises(ValueError):
         LabelMask(voxels=np.full((2, 2, 2), 3, dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"found \[2 3\]"):
+        LabelMask(voxels=np.array([0, 1, 3, 2, 1, 0, 3, 1]).reshape(2, 2, 2))
 
 
 def test_bad_spacing_rejected():
