@@ -1,7 +1,8 @@
 """Command-line surface: phantom generation, baseline and network
 segmentation, training, calibration, and evaluation.
 
-Option precedence is defaults < config file (key=value lines) < flags.
+For `phantom` and `train`, option precedence is defaults < config file
+(key=value lines) < flags.
 """
 
 from __future__ import annotations
@@ -23,43 +24,42 @@ from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
 from .train import train_network
-from .volume import DEFAULT_WINDOW, read_mvol, write_mvol
+from .volume import parse_key_values, read_mvol, write_mvol
 
 
 def _load_config(path):
-    kv = {}
-    if path:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                kv[key.strip().replace("-", "_")] = value.strip()
-    return kv
+    if not path:
+        return {}
+    with open(path) as f:
+        return {k.replace("-", "_"): v for k, v in parse_key_values(f.read()).items()}
+
+
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
 
 
 def _triple(text):
-    parts = [float(v) for v in text.split(",")]
+    parts = _floats(text)
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
-    return tuple(parts)
+    return parts
 
 
 def _pair(text):
-    parts = [float(v) for v in text.split(",")]
+    parts = _floats(text)
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated values, got {text!r}")
-    return tuple(parts)
+    return parts
 
 
-def _merge(args, config, name, cast=None):
-    """Flag wins; otherwise config file; otherwise the argparse default."""
-    flag = getattr(args, name, None)
+def _merge(args, config, name, cast):
+    """Flag wins; otherwise config file; otherwise None.  `cast` is the
+    flag's argparse type, so both sources give the same value type."""
+    flag = getattr(args, name)
     if flag is not None:
         return flag
     if name in config:
-        return cast(config[name]) if cast else config[name]
+        return cast(config[name])
     return None
 
 
@@ -70,35 +70,24 @@ def cmd_phantom(args) -> int:
         with open(args.spec_file) as f:
             spec = spec_from_text(f.read())
     overrides = {}
-    for field, cast in [("major_radius", float), ("tube_radius", float),
-                        ("arc_span_deg", float), ("half_separation", float),
-                        ("canal_intensity", float), ("background_intensity", float),
-                        ("shell_intensity", float), ("noise_amplitude", float),
-                        ("seed", int)]:
-        v = _merge(args, config, field, cast)
-        if v is not None:
-            overrides[field] = v
-    def as_floats(v):
-        # flag values arrive as raw "a,b,c" strings; config values may too
-        if isinstance(v, str):
-            return tuple(float(x) for x in v.split(","))
-        return tuple(float(x) for x in v)
-
-    for field in ("dims", "spacing"):
-        v = _merge(args, config, field)
-        if v is not None:
-            v = as_floats(v)
-            overrides[field] = tuple(int(x) for x in v) if field == "dims" else v
-    euler = _merge(args, config, "skew_euler")
-    translation = _merge(args, config, "skew_translation")
-    euler = as_floats(euler) if euler is not None else None
-    translation = as_floats(translation) if translation is not None else None
-    if euler is not None or translation is not None:
-        rot = rotation_from_euler_deg(*(euler or (0, 0, 0)))
-        overrides["skew"] = RigidPose(rot, np.array(translation or (0.0, 0.0, 0.0)))
     try:
+        for field, cast in [("major_radius", float), ("tube_radius", float),
+                            ("arc_span_deg", float), ("half_separation", float),
+                            ("canal_intensity", float), ("background_intensity", float),
+                            ("shell_intensity", float), ("noise_amplitude", float),
+                            ("seed", int), ("dims", _triple), ("spacing", _triple)]:
+            v = _merge(args, config, field, cast)
+            if v is not None:
+                overrides[field] = v
+        if "dims" in overrides:
+            overrides["dims"] = tuple(int(x) for x in overrides["dims"])
+        euler = _merge(args, config, "skew_euler", _triple)
+        translation = _merge(args, config, "skew_translation", _triple)
+        if euler is not None or translation is not None:
+            rot = rotation_from_euler_deg(*(euler or (0, 0, 0)))
+            overrides["skew"] = RigidPose(rot, np.array(translation or (0.0, 0.0, 0.0)))
         spec = replace(spec, **overrides)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: invalid phantom spec: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.output, exist_ok=True)
@@ -127,12 +116,14 @@ def cmd_segment_threshold(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
+    try:
+        lambdas = _merge(args, config, "lambdas", _floats)
+        net_config = NetworkConfig() if lambdas is None else NetworkConfig(lambdas=lambdas)
+    except ValueError as exc:
+        print(f"error: invalid lambdas: {exc}", file=sys.stderr)
+        return 2
     vol = read_mvol(args.input)
     mask = read_mvol(args.mask)
-    lambdas = _merge(args, config, "lambdas", lambda s: tuple(float(x) for x in s.split(",")))
-    net_config = NetworkConfig()
-    if lambdas:
-        net_config.lambdas = tuple(lambdas)
     try:
         net, history = train_network(
             vol, mask,
@@ -261,18 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background-intensity", dest="background_intensity", type=float)
     p.add_argument("--shell-intensity", dest="shell_intensity", type=float)
     p.add_argument("--noise", dest="noise_amplitude", type=float)
-    p.add_argument("--dims", help="nx,ny,nz")
-    p.add_argument("--spacing", help="sx,sy,sz in mm")
-    p.add_argument("--skew-euler", dest="skew_euler", help="rx,ry,rz in degrees")
-    p.add_argument("--skew-translation", dest="skew_translation", help="tx,ty,tz in mm")
+    p.add_argument("--dims", type=_triple, help="nx,ny,nz")
+    p.add_argument("--spacing", type=_triple, help="sx,sy,sz in mm")
+    p.add_argument("--skew-euler", dest="skew_euler", type=_triple, help="rx,ry,rz in degrees")
+    p.add_argument("--skew-translation", dest="skew_translation", type=_triple,
+                   help="tx,ty,tz in mm")
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("segment-threshold", help="intensity-band baseline segmentation")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--band", type=_pair, required=True, help="lo,hi intensity band")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_segment_threshold)
 
     p = sub.add_parser("train", help="train the segmentation network")
@@ -283,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=2)
-    p.add_argument("--lambdas", help="deep-supervision weights, comma-separated")
+    p.add_argument("--lambdas", type=_floats, help="deep-supervision weights, comma-separated")
     p.add_argument("--loss-log", dest="loss_log", help="CSV loss log path")
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
@@ -294,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--stride", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("calibrate", help="geometric calibration from a mask")
@@ -305,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l0", type=float, default=cal.DEFAULT_L0_MM)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=cal.DEFAULT_MAX_ITER)
     p.add_argument("--spacing", type=float, default=cal.DEFAULT_OUT_SPACING)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="evaluate a predicted mask")
@@ -315,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose-true", dest="pose_true", help="ground-truth pose file")
     p.add_argument("--pose-est", dest="pose_est", help="estimated pose file")
     p.add_argument("--output", help="metrics JSON path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_evaluate)
 
     return parser

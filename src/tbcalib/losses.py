@@ -14,7 +14,7 @@ CE_CLAMP = 1e-7
 DEFAULT_LAMBDAS = (0.5, 0.25)
 
 
-def dsc_loss(p: np.ndarray, g: np.ndarray, smooth: float = DICE_SMOOTH):
+def dsc_loss(p: np.ndarray, g: np.ndarray):
     """Soft Dice loss 1 - (2*sum(p*g) + s) / (sum(p) + sum(g) + s).
 
     Returns (loss, dloss/dp).  The smoothing term makes the empty-empty
@@ -25,8 +25,8 @@ def dsc_loss(p: np.ndarray, g: np.ndarray, smooth: float = DICE_SMOOTH):
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
     inter = float(np.sum(p * g))
-    denom = float(np.sum(p) + np.sum(g)) + smooth
-    num = 2.0 * inter + smooth
+    denom = float(np.sum(p) + np.sum(g)) + DICE_SMOOTH
+    num = 2.0 * inter + DICE_SMOOTH
     loss = 1.0 - num / denom
     grad = -(2.0 * g * denom - num) / denom ** 2
     return loss, grad
@@ -38,8 +38,7 @@ def class_weight(labels: np.ndarray) -> float:
     return 1.0 - float(np.count_nonzero(labels)) / labels.size
 
 
-def weighted_ce(p: np.ndarray, g: np.ndarray, weight: float,
-                clamp: float = CE_CLAMP, strict: bool = False):
+def weighted_ce(p: np.ndarray, g: np.ndarray, weight: float, strict: bool = False):
     """Class-weighted cross-entropy; returns (loss, dloss/dp).
 
     Foreground voxels are weighted by `weight`, background by 1 - weight.
@@ -51,8 +50,8 @@ def weighted_ce(p: np.ndarray, g: np.ndarray, weight: float,
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
     n = p.size
-    ph = np.clip(p, clamp, 1.0 - clamp)
-    inside = (p > clamp) & (p < 1.0 - clamp)  # clamp gradient gate
+    ph = np.clip(p, CE_CLAMP, 1.0 - CE_CLAMP)
+    inside = (p > CE_CLAMP) & (p < 1.0 - CE_CLAMP)  # clamp gradient gate
     fg_term = weight * g * np.log(ph)
     if strict:
         loss = -float(np.sum(fg_term)) / n
@@ -65,8 +64,7 @@ def weighted_ce(p: np.ndarray, g: np.ndarray, weight: float,
 
 
 def joint_loss(main_p: np.ndarray, aux_ps, g: np.ndarray,
-               lambdas=DEFAULT_LAMBDAS, weight: float | None = None,
-               strict_ce: bool = False):
+               lambdas=DEFAULT_LAMBDAS, weight: float | None = None):
     """Joint training loss: Dice + weighted CE on the main head plus
     lambda-weighted Dice + CE terms for each auxiliary head.
 
@@ -80,14 +78,14 @@ def joint_loss(main_p: np.ndarray, aux_ps, g: np.ndarray,
         weight = class_weight(g)
 
     d_main, gd_main = dsc_loss(main_p, g)
-    c_main, gc_main = weighted_ce(main_p, g, weight, strict=strict_ce)
+    c_main, gc_main = weighted_ce(main_p, g, weight)
     total = d_main + c_main
     grad_main = gd_main + gc_main
     breakdown = {"dsc_main": d_main, "ce_main": c_main}
     grads_aux = []
     for k, (lam, aux) in enumerate(zip(lambdas, aux_ps)):
         d_k, gd_k = dsc_loss(aux, g)
-        c_k, gc_k = weighted_ce(aux, g, weight, strict=strict_ce)
+        c_k, gc_k = weighted_ce(aux, g, weight)
         total += lam * (d_k + c_k)
         breakdown[f"dsc_aux_{k}"] = d_k
         breakdown[f"ce_aux_{k}"] = c_k

@@ -59,24 +59,29 @@ def save_checkpoint(net, path, optimizer=None) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _read_exact(f, n, path, what):
+    data = f.read(n)
+    if len(data) < n:
+        raise CheckpointError(f"{path}: truncated {what}")
+    return data
+
+
 def read_checkpoint_arrays(path):
     """Return (dict name -> float32 array, flags)."""
     with open(path, "rb") as f:
-        head = f.read(12)
-        if len(head) < 12:
-            raise CheckpointError(f"{path}: truncated header")
-        magic, version, flags, _r, count = struct.unpack("<4sBBHI", head)
+        magic, version, flags, _r, count = struct.unpack(
+            "<4sBBHI", _read_exact(f, 12, path, "header"))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         specs = []
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            (off,) = struct.unpack("<Q", f.read(8))
+            (nlen,) = struct.unpack("<H", _read_exact(f, 2, path, "manifest"))
+            name = _read_exact(f, nlen, path, "manifest").decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read_exact(f, 1, path, "manifest"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, "manifest"))
+            (off,) = struct.unpack("<Q", _read_exact(f, 8, path, "manifest"))
             specs.append((name, shape, off))
         payload = np.frombuffer(f.read(), dtype="<f4")
     arrays = {}

@@ -35,10 +35,6 @@ class Layer:
         self.params: dict[str, Param] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
 
 class Conv3d(Layer):
     def __init__(self, in_ch, out_ch, kernel, rng, stride=1, dilation=1,
@@ -68,34 +64,28 @@ class Conv3d(Layer):
 
 
 class ConvTranspose3d(Layer):
-    def __init__(self, in_ch, out_ch, rng, kernel=2, stride=2, dtype=np.float32):
+    """Stride-2 upsampling with a 2^3 kernel."""
+
+    def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
         super().__init__()
-        self.stride = stride
-        fan_in = in_ch * kernel ** 3
-        fan_out = out_ch * kernel ** 3
-        w = glorot_uniform(rng, (in_ch, out_ch, kernel, kernel, kernel),
-                           fan_in, fan_out, dtype)
+        w = glorot_uniform(rng, (in_ch, out_ch, 2, 2, 2), in_ch * 8, out_ch * 8, dtype)
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
         self._x = None
 
     def forward(self, x):
         self._x = x
-        return ops.conv_transpose3d_forward(x, self.params["w"].data,
-                                            self.params["b"].data, self.stride)
+        return ops.conv_transpose3d_forward(x, self.params["w"].data, self.params["b"].data)
 
     def backward(self, gy):
-        gx, gw, gb = ops.conv_transpose3d_backward(self._x, self.params["w"].data,
-                                                   gy, self.stride)
+        gx, gw, gb = ops.conv_transpose3d_backward(self._x, self.params["w"].data, gy)
         self.params["w"].grad += gw
         self.params["b"].grad += gb
         return gx
 
 
 class BatchNorm3d(Layer):
-    def __init__(self, channels, eps=1e-5, momentum=0.9, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.params = {
             "gamma": Param(np.ones(channels, dtype=dtype)),
             "beta": Param(np.zeros(channels, dtype=dtype)),
@@ -109,8 +99,7 @@ class BatchNorm3d(Layer):
     def forward(self, x, training):
         y, self._cache = ops.batchnorm_forward(
             x, self.params["gamma"].data, self.params["beta"].data,
-            self.buffers["running_mean"], self.buffers["running_var"],
-            training, self.momentum, self.eps)
+            self.buffers["running_mean"], self.buffers["running_var"], training)
         return y
 
     def backward(self, gy):
@@ -171,12 +160,11 @@ class AvgPool3d(Layer):
 class ConvBnRelu(Layer):
     """3D conv followed by batch-norm and ReLU, the standard building unit."""
 
-    def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, padding=0,
-                 bn_eps=1e-5, bn_momentum=0.9, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, padding=0, dtype=np.float32):
         super().__init__()
         self.conv = Conv3d(in_ch, out_ch, kernel, rng, dilation=dilation,
                            padding=padding, dtype=dtype)
-        self.bn = BatchNorm3d(out_ch, eps=bn_eps, momentum=bn_momentum, dtype=dtype)
+        self.bn = BatchNorm3d(out_ch, dtype=dtype)
         self.relu = ReLU()
 
     def forward(self, x, training):
@@ -190,8 +178,9 @@ class ConvBnRelu(Layer):
 
 
 def named_layers(obj, prefix=""):
-    """Depth-first (name, Layer) pairs for anything exposing .children()
-    or plain Layer attributes registered in ._layers."""
+    """Depth-first (name, Layer) pairs: a Layer without .children() is a
+    leaf; anything with .children() contributes itself if it holds params,
+    then its children under dotted names."""
     out = []
     if isinstance(obj, Layer) and not hasattr(obj, "children"):
         return [(prefix, obj)]

@@ -24,16 +24,14 @@ class NetworkConfig:
     enc2_channels: int = 32       # C2, 24^3 level
     dcm_channels: int = 64        # C3, dilated-module output
     lambdas: tuple = (0.5, 0.25)  # deep-supervision weights, 12^3 then 24^3 head
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
 
     def __post_init__(self):
         for name in ("stem_channels", "growth", "dense_layers",
                      "enc1_channels", "enc2_channels", "dcm_channels"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if any(not 0 <= l <= 1 for l in self.lambdas):
-            raise ValueError("lambdas must lie in [0, 1]")
+        if len(self.lambdas) != 2 or any(not 0 <= l <= 1 for l in self.lambdas):
+            raise ValueError(f"lambdas must be two weights in [0, 1], got {self.lambdas}")
 
 
 def _split(arr, sizes, axis=0):
@@ -45,21 +43,17 @@ class DenseBlock(Layer):
     channels onto the running feature stack; a 1^3 conv reduces the stack
     to out_ch."""
 
-    def __init__(self, in_ch, out_ch, rng, growth=8, n_layers=4, dtype=np.float32,
-                 bn_eps=1e-5, bn_momentum=0.9):
+    def __init__(self, in_ch, out_ch, rng, growth=8, n_layers=4, dtype=np.float32):
         super().__init__()
         self.in_ch = in_ch
         self.growth = growth
         self.layers = []
         ch = in_ch
         for _ in range(n_layers):
-            self.layers.append(ConvBnRelu(ch, growth, 3, rng, padding=1,
-                                          bn_eps=bn_eps, bn_momentum=bn_momentum,
-                                          dtype=dtype))
+            self.layers.append(ConvBnRelu(ch, growth, 3, rng, padding=1, dtype=dtype))
             ch += growth
         self.pre_reduction_channels = ch
-        self.reduce = ConvBnRelu(ch, out_ch, 1, rng, bn_eps=bn_eps,
-                                 bn_momentum=bn_momentum, dtype=dtype)
+        self.reduce = ConvBnRelu(ch, out_ch, 1, rng, dtype=dtype)
 
     def forward(self, x, training):
         feats = [x]
@@ -88,20 +82,17 @@ class DenseBlock(Layer):
 
 class DilatedConvModule(Layer):
     """Three parallel 3^3 convolutions with dilation (and padding) 1, 2, 3,
-    each BN + ReLU; outputs concatenated then reduced by a 1^3 conv."""
+    each BN + ReLU keeping the input channel count; outputs concatenated then
+    reduced by a 1^3 conv."""
 
-    def __init__(self, in_ch, out_ch, rng, branch_ch=None, dtype=np.float32,
-                 bn_eps=1e-5, bn_momentum=0.9):
+    def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
         super().__init__()
-        branch_ch = branch_ch if branch_ch is not None else in_ch
-        self.branch_ch = branch_ch
+        self.in_ch = in_ch
         self.branches = [
-            ConvBnRelu(in_ch, branch_ch, 3, rng, dilation=d, padding=d,
-                       bn_eps=bn_eps, bn_momentum=bn_momentum, dtype=dtype)
+            ConvBnRelu(in_ch, in_ch, 3, rng, dilation=d, padding=d, dtype=dtype)
             for d in (1, 2, 3)
         ]
-        self.reduce = ConvBnRelu(3 * branch_ch, out_ch, 1, rng, bn_eps=bn_eps,
-                                 bn_momentum=bn_momentum, dtype=dtype)
+        self.reduce = ConvBnRelu(3 * in_ch, out_ch, 1, rng, dtype=dtype)
 
     def forward(self, x, training):
         outs = [b.forward(x, training) for b in self.branches]
@@ -110,7 +101,7 @@ class DilatedConvModule(Layer):
     def backward(self, gy):
         gcat = self.reduce.backward(gy)
         gx = None
-        for branch, g in zip(self.branches, _split(gcat, [self.branch_ch] * 3)):
+        for branch, g in zip(self.branches, _split(gcat, [self.in_ch] * 3)):
             gb = branch.backward(np.ascontiguousarray(g))
             gx = gb if gx is None else gx + gb
         return gx
@@ -126,7 +117,7 @@ class MultiPoolModule(Layer):
     padding 1, 3^3 avg with padding 1) concatenated and reduced back to the
     input channel count by a 1^3 conv.  Spatial dims halve (must be even)."""
 
-    def __init__(self, channels, rng, dtype=np.float32, bn_eps=1e-5, bn_momentum=0.9):
+    def __init__(self, channels, rng, dtype=np.float32):
         super().__init__()
         self.channels = channels
         self.pools = [
@@ -135,8 +126,7 @@ class MultiPoolModule(Layer):
             MaxPool3d(3, 2, 1),
             AvgPool3d(3, 2, 1),
         ]
-        self.reduce = ConvBnRelu(4 * channels, channels, 1, rng, bn_eps=bn_eps,
-                                 bn_momentum=bn_momentum, dtype=dtype)
+        self.reduce = ConvBnRelu(4 * channels, channels, 1, rng, dtype=dtype)
 
     @staticmethod
     def check_even(x):
@@ -172,26 +162,23 @@ class MFFNet:
     stage), each upsampled to the input resolution."""
 
     def __init__(self, config: NetworkConfig | None = None, seed: int = 0,
-                 dtype=np.float32, in_channels: int = 1):
+                 dtype=np.float32):
         self.config = config or NetworkConfig()
         self.dtype = dtype
         cfg = self.config
         rng = np.random.default_rng(seed)
-        bn = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum, dtype=dtype)
         c0, c1, c2, c3 = (cfg.stem_channels, cfg.enc1_channels,
                           cfg.enc2_channels, cfg.dcm_channels)
-        self.stem = ConvBnRelu(in_channels, c0, 3, rng, padding=1, **bn)
-        self.db1 = DenseBlock(c0, c1, rng, cfg.growth, cfg.dense_layers, dtype,
-                              cfg.bn_eps, cfg.bn_momentum)
-        self.mp1 = MultiPoolModule(c1, rng, **bn)
-        self.db2 = DenseBlock(c1, c2, rng, cfg.growth, cfg.dense_layers, dtype,
-                              cfg.bn_eps, cfg.bn_momentum)
-        self.mp2 = MultiPoolModule(c2, rng, **bn)
-        self.dcm = DilatedConvModule(c2, c3, rng, **bn)
+        self.stem = ConvBnRelu(1, c0, 3, rng, padding=1, dtype=dtype)
+        self.db1 = DenseBlock(c0, c1, rng, cfg.growth, cfg.dense_layers, dtype)
+        self.mp1 = MultiPoolModule(c1, rng, dtype)
+        self.db2 = DenseBlock(c1, c2, rng, cfg.growth, cfg.dense_layers, dtype)
+        self.mp2 = MultiPoolModule(c2, rng, dtype)
+        self.dcm = DilatedConvModule(c2, c3, rng, dtype)
         self.up1 = ConvTranspose3d(c3, c2, rng, dtype=dtype)
-        self.dec1 = ConvBnRelu(2 * c2, c2, 3, rng, padding=1, **bn)
+        self.dec1 = ConvBnRelu(2 * c2, c2, 3, rng, padding=1, dtype=dtype)
         self.up2 = ConvTranspose3d(c2, c1, rng, dtype=dtype)
-        self.dec2 = ConvBnRelu(2 * c1, c1, 3, rng, padding=1, **bn)
+        self.dec2 = ConvBnRelu(2 * c1, c1, 3, rng, padding=1, dtype=dtype)
         self.out_conv = Conv3d(c1, 1, 1, rng, dtype=dtype)
         self.out_sig = Sigmoid()
         # Deep-supervision heads: 1^3 conv to one channel, transposed-conv

@@ -16,6 +16,13 @@ side, so one (k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and grad_w
 (cols @ x_padᵀ).  A stride s keeps every s-th stride-1 output, and its
 gradient is grad_out scattered to every s-th position with zeros between.
 COLS_BYTES bounds each `cols` buffer, whatever the volume size.
+
+The transposed convolution takes kernel = stride, so its output windows
+never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward pass is
+one GEMM wᵀ @ x giving every (output channel, tap) row at once, then a
+reshape/transpose that interleaves the taps into the upsampled grid; the
+backward pass undoes that interleave on grad_out and makes one GEMM each
+for grad_x and grad_w.
 """
 
 from __future__ import annotations
@@ -130,46 +137,40 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     return gx, gw, grad_out.sum(axis=(1, 2, 3))
 
 
-def conv_transpose3d_forward(x, w, b, stride=2):
-    """Transposed convolution (adjoint of a strided conv).
+def _check_transpose_kernel(w, stride):
+    k = w.shape[2]
+    if w.shape[2:] != (k, k, k) or k != stride:
+        raise ValueError(f"transposed conv needs a cubic kernel equal to the stride, "
+                         f"got kernel {w.shape[2:]} and stride {stride}")
+    return k
 
-    x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial (n-1)*stride + k.
+
+def conv_transpose3d_forward(x, w, b, stride=2):
+    """Transposed convolution (adjoint of a strided conv) with kernel = stride.
+
+    x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial n*k.
     """
     ci, d, h, wd = x.shape
-    ci_w, co, k = w.shape[0], w.shape[1], w.shape[2]
+    ci_w, co = w.shape[:2]
     if ci_w != ci:
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
-    do, ho, wo = ((n - 1) * stride + k for n in (d, h, wd))
-    y = np.zeros((co, do, ho, wo), dtype=x.dtype)
-    for kd in range(k):
-        for kh in range(k):
-            for kw in range(k):
-                y[:,
-                  kd:kd + (d - 1) * stride + 1:stride,
-                  kh:kh + (h - 1) * stride + 1:stride,
-                  kw:kw + (wd - 1) * stride + 1:stride] += np.tensordot(
-                    w[:, :, kd, kh, kw], x, axes=(0, 0))
-    y += b[:, None, None, None]
-    return y
+    k = _check_transpose_kernel(w, stride)
+    taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, -1)  # (Co, k³·D·H·W)
+    taps += b[:, None]
+    y = taps.reshape(co, k, k, k, d, h, wd).transpose(0, 4, 1, 5, 2, 6, 3)
+    return y.reshape(co, d * k, h * k, wd * k)
 
 
 def conv_transpose3d_backward(x, w, grad_out, stride=2):
     """Gradients of conv_transpose3d_forward; returns (grad_x, grad_w, grad_b)."""
     ci, d, h, wd = x.shape
-    co, k = w.shape[1], w.shape[2]
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(w)
-    gb = grad_out.sum(axis=(1, 2, 3))
-    for kd in range(k):
-        for kh in range(k):
-            for kw in range(k):
-                gs = grad_out[:,
-                              kd:kd + (d - 1) * stride + 1:stride,
-                              kh:kh + (h - 1) * stride + 1:stride,
-                              kw:kw + (wd - 1) * stride + 1:stride]
-                gx += np.tensordot(w[:, :, kd, kh, kw], gs, axes=(1, 0))
-                gw[:, :, kd, kh, kw] = np.tensordot(x, gs, axes=([1, 2, 3], [1, 2, 3]))
-    return gx, gw, gb
+    co = w.shape[1]
+    k = _check_transpose_kernel(w, stride)
+    g = grad_out.reshape(co, d, k, h, k, wd, k).transpose(0, 2, 4, 6, 1, 3, 5)
+    g = g.reshape(co * k ** 3, -1)  # (Co·k³, D·H·W), one row per output channel and tap
+    gx = (w.reshape(ci, -1) @ g).reshape(x.shape)
+    gw = (x.reshape(ci, -1) @ g.T).reshape(w.shape)
+    return gx, gw, grad_out.sum(axis=(1, 2, 3))
 
 
 def _pool_prepare(x, k, stride, padding, pad_value):

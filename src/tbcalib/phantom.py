@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import affine_transform
 
-from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume
+from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume, parse_key_values
 
 ORTHO_TOL = 1e-9
+FOREGROUND_BIAS = 0.75  # share of training windows centered on a foreground voxel
 
 
 @dataclass
@@ -145,13 +146,7 @@ def spec_to_text(spec: PhantomSpec) -> str:
 
 
 def spec_from_text(text: str) -> PhantomSpec:
-    kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+    kv = parse_key_values(text)
     spec = PhantomSpec()
     floats = [
         "major_radius", "tube_radius", "arc_span_deg", "half_separation",
@@ -297,11 +292,10 @@ def generate_phantom(spec: PhantomSpec):
 
 
 def sample_training_pair(vol: Volume, mask: LabelMask, seed: int,
-                         max_rotation_deg: float = 5.0,
-                         foreground_bias: float = 0.75):
+                         max_rotation_deg: float = 5.0):
     """Draw one augmented 48^3 training pair (intensity cuboid, label cuboid).
 
-    With probability `foreground_bias` the window is centered on a random
+    With probability FOREGROUND_BIAS the window is centered on a random
     foreground voxel, guaranteeing foreground presence; otherwise the offset
     is uniform.  A random rotation up to +/-max_rotation_deg per axis is
     applied about the window center: trilinear for intensities, nearest
@@ -316,7 +310,7 @@ def sample_training_pair(vol: Volume, mask: LabelMask, seed: int,
         raise ValueError(f"volume smaller than {CUBOID_SIDE}^3")
     rng = np.random.default_rng(seed)
 
-    if rng.random() < foreground_bias:
+    if rng.random() < FOREGROUND_BIAS:
         fg = mask.foreground_indices_xyz()
         center = fg[rng.integers(len(fg))]
         offset = np.clip(center - CUBOID_SIDE // 2, 0,
@@ -325,27 +319,17 @@ def sample_training_pair(vol: Volume, mask: LabelMask, seed: int,
         offset = np.array([rng.integers(n - CUBOID_SIDE + 1) for n in (nx, ny, nz)])
     angles = rng.uniform(-max_rotation_deg, max_rotation_deg, size=3)
 
-    ox, oy, oz = (int(v) for v in offset)
-    if np.allclose(angles, 0.0):
-        cub = extract_window(vol.voxels, ox, oy, oz)
-        lab = extract_window(mask.voxels, ox, oy, oz)
-        return Cuboid(cub.astype(np.float32), (ox, oy, oz)), Cuboid(lab, (ox, oy, oz))
-
     rot = rotation_from_euler_deg(*angles)
     sp = vol.spacing
     half = (CUBOID_SIDE - 1) / 2.0
-    li = np.arange(CUBOID_SIDE)
-    zz, yy, xx = np.meshgrid(li, li, li, indexing="ij")
-    local = np.stack([xx, yy, zz], axis=-1).astype(np.float64) - half  # window-centered
-    # Rotate in world space about the window center, then back to index space.
-    src = (local * sp) @ rot + half * sp  # inverse rotation of output coords
-    src_idx = src / sp + np.array([ox, oy, oz])
-    coords = [src_idx[..., 2], src_idx[..., 1], src_idx[..., 0]]  # (z, y, x) order
-    cub = map_coordinates(vol.voxels, coords, order=1, mode="nearest")
-    lab = map_coordinates(mask.voxels, coords, order=0, mode="nearest")
-    return (Cuboid(cub.astype(np.float32), (ox, oy, oz)),
-            Cuboid(lab.astype(np.uint8), (ox, oy, oz)))
-
-
-def extract_window(arr_zyx: np.ndarray, ox: int, oy: int, oz: int) -> np.ndarray:
-    return arr_zyx[oz:oz + CUBOID_SIDE, oy:oy + CUBOID_SIDE, ox:ox + CUBOID_SIDE].copy()
+    # Output index i (x, y, z) samples input index A @ i + c: the window
+    # rotated in world space about its center by rot^T.  At zero angles
+    # A = I and c = offset, so the plain window comes back exactly.
+    a = rot.T * sp / sp[:, None]
+    c = offset + half - a.sum(axis=1) * half
+    shape = (CUBOID_SIDE,) * 3
+    cub = affine_transform(vol.voxels, a[::-1, ::-1], c[::-1], output_shape=shape,
+                           order=1, mode="nearest")
+    lab = affine_transform(mask.voxels, a[::-1, ::-1], c[::-1], output_shape=shape,
+                           order=0, mode="nearest")
+    return Cuboid(cub, offset), Cuboid(lab, offset)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 from scipy import ndimage
 
-from .volume import CUBOID_SIDE, LabelMask, Volume, normalize_intensity, DEFAULT_WINDOW
+from .volume import CUBOID_SIDE, LabelMask, Volume, normalize_intensity
 
 MIN_COMPONENT_VOXELS = 20
 
@@ -66,7 +66,7 @@ def _window_starts(n: int, window: int, stride: int):
 
 
 def sliding_window_infer(net, vol: Volume, stride: int = CUBOID_SIDE // 2,
-                         threshold: float = 0.5, window=DEFAULT_WINDOW) -> LabelMask:
+                         threshold: float = 0.5) -> LabelMask:
     """Whole-volume inference: 48^3 windows at the given stride, overlapping
     probabilities averaged, thresholded, two-largest-components filter.
 
@@ -74,8 +74,7 @@ def sliding_window_infer(net, vol: Volume, stride: int = CUBOID_SIDE // 2,
     result cropped back.
     """
     w = CUBOID_SIDE
-    norm = normalize_intensity(vol, window)
-    data = norm.voxels
+    data = normalize_intensity(vol).voxels
     nz, ny, nx = data.shape
     pz, py, px = (max(0, w - n) for n in (nz, ny, nx))
     if pz or py or px:

@@ -7,7 +7,9 @@ import numpy as np
 from .losses import class_weight, dsc_metric, joint_loss
 from .nn import Adam, MFFNet, NetworkConfig
 from .phantom import sample_training_pair
-from .volume import DEFAULT_WINDOW, LabelMask, Volume, extract_cuboid
+from .volume import LabelMask, Volume, extract_cuboid, normalize_intensity
+
+CHECK_EVERY = 10  # iterations between early-stopping Dice checks
 
 
 class TrainingDivergedError(Exception):
@@ -16,76 +18,63 @@ class TrainingDivergedError(Exception):
         self.iteration = iteration
 
 
-def _normalize(values: np.ndarray, window) -> np.ndarray:
-    lo, hi = window
-    return ((np.clip(values, lo, hi) - lo) / (hi - lo)).astype(np.float32)
-
-
 def train_network(vol: Volume, mask: LabelMask,
                   iterations: int = 500,
                   lr: float = 1e-3,
                   seed: int = 0,
                   batch_size: int = 2,
-                  lambdas=None,
                   config: NetworkConfig | None = None,
-                  window=DEFAULT_WINDOW,
                   fixed_offset=None,
                   log_path=None,
-                  stop_dsc: float | None = None,
-                  check_every: int = 10):
+                  stop_dsc: float | None = None):
     """Train a fresh network on cuboids sampled from (vol, mask).
 
-    With `fixed_offset` the same window is used every step with no
-    augmentation (single-cuboid overfitting); otherwise foreground-biased
+    The volume is normalized once and every window is taken from the
+    result.  With `fixed_offset` the same window is used every step with
+    no augmentation (single-cuboid overfitting); otherwise foreground-biased
     augmented pairs are drawn per step.  `stop_dsc` enables early stopping
     once the thresholded prediction of the training cuboid reaches that
-    Dice score (checked every `check_every` iterations).
+    Dice score (checked every CHECK_EVERY iterations).
 
     Returns (net, history) where history is a list of per-iteration
     breakdown dicts (CSV-logged to log_path when given).
     """
-    config = config or NetworkConfig()
-    if lambdas is not None:
-        config.lambdas = tuple(lambdas)
     net = MFFNet(config, seed=seed)
     opt = Adam(net.named_params(), lr=lr)
-
+    norm = normalize_intensity(vol)
     if fixed_offset is not None:
-        cub = extract_cuboid(vol, fixed_offset)
-        lab = extract_cuboid(mask, fixed_offset)
-        fixed_pair = (_normalize(cub.values, window), lab.values.astype(np.float64))
+        fixed_pair = (extract_cuboid(norm, fixed_offset).values,
+                      extract_cuboid(mask, fixed_offset).values.astype(np.float64))
+    nb = 1 if fixed_offset is not None else max(1, batch_size)
 
     history = []
     log_file = open(log_path, "w") if log_path else None
     try:
         for it in range(iterations):
             net.zero_grad()
-            total = 0.0
             breakdown_acc = None
             reached = None
-            for b in range(max(1, batch_size) if fixed_offset is None else 1):
+            for b in range(nb):
                 if fixed_offset is not None:
                     x, g = fixed_pair
                 else:
-                    cub, lab = sample_training_pair(vol, mask, seed=seed * 1000003 + it * 17 + b)
-                    x = _normalize(cub.values, window)
+                    cub, lab = sample_training_pair(norm, mask, seed=seed * 1000003 + it * 17 + b)
+                    x = cub.values
                     g = lab.values.astype(np.float64)
                 main, auxes = net.forward(x[None], training=True)
                 loss, breakdown, gmain, gaux = joint_loss(
                     main[0], [a[0] for a in auxes], g,
-                    lambdas=config.lambdas, weight=class_weight(g))
+                    lambdas=net.config.lambdas, weight=class_weight(g))
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(it)
                 net.backward(gmain[None], [ga[None] for ga in gaux])
-                total += loss
                 if breakdown_acc is None:
                     breakdown_acc = dict(breakdown)
                 else:
                     for k, v in breakdown.items():
                         breakdown_acc[k] += v
-                if stop_dsc is not None and (it + 1) % check_every == 0:
+                if stop_dsc is not None and (it + 1) % CHECK_EVERY == 0:
                     reached = dsc_metric(main[0] >= 0.5, g >= 0.5)
-            nb = max(1, batch_size) if fixed_offset is None else 1
             for k in breakdown_acc:
                 breakdown_acc[k] /= nb
             # Average gradients over the batch before the update.

@@ -47,6 +47,18 @@ class BadSpacingError(MvolError):
     pass
 
 
+def parse_key_values(text: str) -> dict:
+    """`key=value` lines to a dict of stripped strings; blank lines and
+    lines starting with `#` are skipped."""
+    kv = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            kv[key.strip()] = value.strip()
+    return kv
+
+
 def _check_geometry(shape_zyx, spacing, origin):
     if len(shape_zyx) != 3:
         raise ValueError(f"voxel array must be 3D, got shape {shape_zyx}")
@@ -230,6 +242,8 @@ def read_mvol(path):
             raise BadDtypeError(f"{path}: unknown dtype code {dtype_code}")
         if sx <= 0 or sy <= 0 or sz <= 0:
             raise BadSpacingError(f"{path}: non-positive spacing ({sx}, {sy}, {sz})")
+        if 0 in (nx, ny, nz):
+            raise MvolError(f"{path}: zero dimension in ({nx}, {ny}, {nz})")
         n = int(nx) * int(ny) * int(nz)
         payload = f.read(n * itemsize)
         if len(payload) < n * itemsize:
@@ -247,16 +261,13 @@ def read_mvol(path):
 # ---------------------------------------------------------------------------
 
 def read_raw_stack(directory, sidecar="stack.txt") -> Volume:
-    meta = {}
     with open(os.path.join(directory, sidecar)) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
-    spacing = (float(meta["sx"]), float(meta["sy"]), float(meta["sz"]))
+        meta = parse_key_values(f.read())
+    try:
+        nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
+        spacing = (float(meta["sx"]), float(meta["sy"]), float(meta["sz"]))
+    except KeyError as exc:
+        raise ValueError(f"{sidecar} in {directory}: missing key {exc.args[0]!r}") from None
     origin = tuple(float(meta.get(k, 0.0)) for k in ("ox", "oy", "oz"))
     names = sorted(
         f for f in os.listdir(directory)

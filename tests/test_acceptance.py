@@ -276,9 +276,8 @@ def test_overfit_single_cuboid_reaches_dsc_090():
     assert elapsed < 600.0
     assert len(history) <= 500
 
-    from tbcalib.train import _normalize
-    from tbcalib.volume import DEFAULT_WINDOW, extract_cuboid
-    x = _normalize(extract_cuboid(vol, offset).values, DEFAULT_WINDOW)
+    from tbcalib.volume import extract_cuboid, normalize_intensity
+    x = extract_cuboid(normalize_intensity(vol), offset).values
     g = extract_cuboid(mask, offset).values
     # training DSC: batch statistics, the same quantity the early stop monitors
     main, _ = net.forward(x[None], training=True)

@@ -168,3 +168,43 @@ def test_infer_missing_checkpoint(tmp_path):
     rc = run("infer", "--checkpoint", tmp_path / "nope.mffw",
              "--input", tmp_path / "nope.mvol", "--output", tmp_path / "o.mvol")
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def small_phantom_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert run("phantom", "--output", out, "--dims", "80,56,48",
+               "--separation", "12", "--seed", "2") == 0
+    return out
+
+
+def train_argv(ph, out, *extra):
+    return ("train", "--input", ph / "volume.mvol", "--mask", ph / "mask.mvol",
+            "--output", out, "--iterations", "1", "--batch-size", "1") + extra
+
+
+def test_train_lambdas_flag(small_phantom_dir, tmp_path):
+    assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw",
+                           "--lambdas", "0.4,0.2")) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_lambdas_outside_unit_interval(small_phantom_dir, tmp_path, source):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lambdas=2,0\n")
+    extra = ("--lambdas", "2,0") if source == "flag" else ("--config", cfg)
+    assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw", *extra)) == 2
+    assert not (tmp_path / "net.mffw").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("segment-threshold", "--input", "v.mvol", "--output", "m.mvol", "--band", "300,900"),
+    ("infer", "--checkpoint", "n.mffw", "--input", "v.mvol", "--output", "m.mvol"),
+    ("calibrate", "--input", "v.mvol", "--mask", "m.mvol", "--output", "out"),
+    ("evaluate", "--pred", "m.mvol"),
+])
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--config", "cfg.txt")])
+def test_subcommands_without_options_reject_seed_and_config(argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *flag)
+    assert exc.value.code == 2

@@ -222,6 +222,74 @@ def test_conv_transpose_gradients():
     assert rel_err(gb, numeric_grad(loss, b)) < 1e-6
 
 
+def per_tap_conv_transpose(x, w, b, stride):
+    """The former per-tap transposed conv: every kernel tap adds its
+    (Co, D, H, W) product into a strided view of the output.  Returns
+    (y, backward) where backward(g) -> (gx, gw, gb)."""
+    ci, d, h, wd = x.shape
+    co, k = w.shape[1], w.shape[2]
+
+    def view(kd, kh, kw):
+        return (slice(None),
+                slice(kd, kd + (d - 1) * stride + 1, stride),
+                slice(kh, kh + (h - 1) * stride + 1, stride),
+                slice(kw, kw + (wd - 1) * stride + 1, stride))
+
+    y = np.zeros((co,) + tuple((n - 1) * stride + k for n in (d, h, wd)), dtype=x.dtype)
+    for tap in np.ndindex(k, k, k):
+        y[view(*tap)] += np.tensordot(w[(slice(None), slice(None)) + tap], x, axes=(0, 0))
+    y += b[:, None, None, None]
+
+    def backward(g):
+        gx = np.zeros_like(x)
+        gw = np.zeros_like(w)
+        for tap in np.ndindex(k, k, k):
+            gs = g[view(*tap)]
+            gx += np.tensordot(w[(slice(None), slice(None)) + tap], gs, axes=(1, 0))
+            gw[(slice(None), slice(None)) + tap] = np.tensordot(
+                x, gs, axes=([1, 2, 3], [1, 2, 3]))
+        return gx, gw, g.sum(axis=(1, 2, 3))
+
+    return y, backward
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,dhw", [
+    (3, 2, (5, 5, 5)),
+    (2, 3, (3, 5, 4)),      # distinct extents keep the axis interleave honest
+    (1, 1, (12, 12, 12)),   # deep-supervision heads
+    (64, 32, (12, 12, 12)),  # MFFNet up1
+    (32, 16, (12, 12, 12)),  # MFFNet up2 channels
+])
+def test_conv_transpose_matches_per_tap_oracle(ci, co, dhw, dtype):
+    """Forward exactly equal to the per-tap reference at the same dtype
+    (windows never overlap, so every output is one product plus the bias);
+    backward within rtol 1e-5 of the largest reference entry."""
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(ci,) + dhw).astype(dtype)
+    w = rng.normal(size=(ci, co, 2, 2, 2)).astype(dtype)
+    b = rng.normal(size=co).astype(dtype)
+    y = ops.conv_transpose3d_forward(x, w, b, stride=2)
+    ref, ref_backward = per_tap_conv_transpose(x, w, b, 2)
+    assert y.dtype == dtype and y.shape == ref.shape
+    np.testing.assert_array_equal(y, ref)
+    g = rng.normal(size=y.shape).astype(dtype)
+    for name, a, r in zip(("grad_x", "grad_w", "grad_b"),
+                          ops.conv_transpose3d_backward(x, w, g, stride=2), ref_backward(g)):
+        assert a.dtype == dtype and a.shape == r.shape, name
+        np.testing.assert_allclose(a, r, rtol=1e-5, atol=1e-5 * np.abs(r).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("k,stride", [(2, 1), (3, 2), (2, 3)])
+def test_conv_transpose_needs_kernel_equal_to_stride(k, stride):
+    x = np.zeros((1, 4, 4, 4))
+    w = np.zeros((1, 1, k, k, k))
+    with pytest.raises(ValueError, match="kernel equal to the stride"):
+        ops.conv_transpose3d_forward(x, w, np.zeros(1), stride=stride)
+    with pytest.raises(ValueError, match="kernel equal to the stride"):
+        ops.conv_transpose3d_backward(x, w, np.zeros((1, 8, 8, 8)), stride=stride)
+
+
 # --- pooling ------------------------------------------------------------------
 
 def naive_pool(x, k, stride, padding, mode):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from tbcalib.phantom import (PhantomSpec, RigidPose, generate_phantom,
                              read_pose, rotation_angle_deg,
                              rotation_from_euler_deg, sample_training_pair,
                              spec_from_text, spec_to_text, write_pose)
+from tbcalib.volume import LabelMask, Volume
 
 
 def small_spec(**kw):
@@ -210,3 +212,44 @@ def test_sample_pair_no_rotation_is_plain_window():
         cub.values, vol.voxels[oz:oz + 48, oy:oy + 48, ox:ox + 48])
     np.testing.assert_array_equal(
         lab.values, mask.voxels[oz:oz + 48, oy:oy + 48, ox:ox + 48])
+
+
+def reference_training_pair(vol, mask, seed, max_rotation_deg=5.0, foreground_bias=0.75):
+    """The former sampler: the same draws, a hand-built coordinate grid
+    rotated about the window center, then map_coordinates."""
+    nx, ny, nz = vol.dims
+    rng = np.random.default_rng(seed)
+    if rng.random() < foreground_bias:
+        fg = mask.foreground_indices_xyz()
+        center = fg[rng.integers(len(fg))]
+        offset = np.clip(center - 24, 0, np.array([nx, ny, nz]) - 48)
+    else:
+        offset = np.array([rng.integers(n - 48 + 1) for n in (nx, ny, nz)])
+    rot = rotation_from_euler_deg(*rng.uniform(-max_rotation_deg, max_rotation_deg, size=3))
+    sp = vol.spacing
+    half = 47 / 2.0
+    li = np.arange(48)
+    zz, yy, xx = np.meshgrid(li, li, li, indexing="ij")
+    local = np.stack([xx, yy, zz], axis=-1).astype(np.float64) - half
+    src_idx = ((local * sp) @ rot + half * sp) / sp + offset
+    coords = [src_idx[..., 2], src_idx[..., 1], src_idx[..., 0]]
+    return (tuple(int(v) for v in offset),
+            map_coordinates(vol.voxels, coords, order=1, mode="nearest"),
+            map_coordinates(mask.voxels, coords, order=0, mode="nearest"))
+
+
+@pytest.mark.parametrize("spacing", [(0.5, 0.5, 0.5), (0.45, 0.6, 0.8)])
+def test_sample_pair_matches_coordinate_grid_oracle(spacing):
+    spec = small_spec(noise_amplitude=300.0, seed=4,
+                      skew=RigidPose(rotation_from_euler_deg(4, -3, 6), np.zeros(3)))
+    v, m, _ = generate_phantom(spec)
+    vol = Volume(voxels=v.voxels, spacing=spacing, origin=v.origin)
+    mask = LabelMask(voxels=m.voxels, spacing=spacing, origin=m.origin)
+    for seed in range(8):
+        cub, lab = sample_training_pair(vol, mask, seed=seed)
+        offset, ref_cub, ref_lab = reference_training_pair(vol, mask, seed)
+        assert cub.offset == lab.offset == offset
+        assert cub.values.dtype == np.float32 and lab.values.dtype == np.uint8
+        np.testing.assert_array_equal(lab.values, ref_lab)
+        np.testing.assert_allclose(cub.values, ref_cub, rtol=1e-5,
+                                   atol=1e-5 * np.abs(ref_cub).max())

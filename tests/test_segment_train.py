@@ -150,6 +150,18 @@ def test_checkpoint_bad_magic(tmp_path):
         read_checkpoint_arrays(path)
 
 
+@pytest.mark.parametrize("cut", [13, 20, 40, 53])
+def test_checkpoint_truncated_manifest(tmp_path, cut):
+    """Cut inside the first entry (bytes 12-54): name length, name, dims,
+    payload offset."""
+    net = MFFNet(tiny_config(), seed=0)
+    path = tmp_path / "net.mffw"
+    save_checkpoint(net, path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(CheckpointError, match="truncated manifest"):
+        read_checkpoint_arrays(path)
+
+
 # --- sliding-window inference --------------------------------------------------------
 
 def test_sliding_window_output_grid_and_range():

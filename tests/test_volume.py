@@ -6,7 +6,8 @@ import pytest
 from tbcalib.volume import (BadDtypeError, BadMagicError, BadSpacingError,
                             Cuboid, LabelMask, MvolError, TruncatedFileError,
                             Volume, extract_cuboid, normalize_intensity,
-                            read_mvol, read_raw_stack, write_mvol)
+                            parse_key_values, read_mvol, read_raw_stack,
+                            write_mvol)
 
 
 def random_volume(rng, max_side=12):
@@ -162,6 +163,17 @@ def test_mvol_bad_spacing(tmp_path):
         read_mvol(p)
 
 
+def test_mvol_zero_dimension(tmp_path):
+    v = Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32))
+    p = tmp_path / "zero.mvol"
+    write_mvol(v, p)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<I", raw, 12, 0)  # ny = 0
+    p.write_bytes(bytes(raw))
+    with pytest.raises(MvolError, match="zero dimension"):
+        read_mvol(p)
+
+
 def test_extract_cuboid_contents():
     rng = np.random.default_rng(4)
     v = Volume(voxels=rng.normal(size=(60, 55, 50)).astype(np.float32))
@@ -214,3 +226,14 @@ def test_read_raw_stack_slice_count_mismatch(tmp_path):
     np.zeros(4, dtype="<f4").tofile(tmp_path / "only.raw")
     with pytest.raises(ValueError):
         read_raw_stack(tmp_path)
+
+
+def test_read_raw_stack_missing_key(tmp_path):
+    (tmp_path / "stack.txt").write_text("nx=2\nny=2\nsx=1\nsy=1\nsz=1\n")
+    with pytest.raises(ValueError, match="missing key 'nz'"):
+        read_raw_stack(tmp_path)
+
+
+def test_parse_key_values_skips_blank_and_comment_lines():
+    text = "# header\n\n  a = 1,2 \nb=\n  # indented comment\nc=x=y\n"
+    assert parse_key_values(text) == {"a": "1,2", "b": "", "c": "x=y"}
