@@ -2,8 +2,8 @@
 
 from .calibration import (CalibrationError, CalibrationFrame, CalibrationReport,
                           InsufficientAnchorsError, build_frame, calibrate,
-                          estimate_transform, find_anchors, fit_lsc_plane,
-                          rank_result, refine_sagittal, resample, split_components)
+                          estimate_transform, fit_lsc_plane, rank_result,
+                          refine_sagittal, resample, split_components)
 from .losses import class_weight, dsc_loss, dsc_metric, joint_loss, weighted_ce
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg,

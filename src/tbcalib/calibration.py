@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -87,20 +87,7 @@ class CalibrationReport:
     error: str = ""
 
     def to_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "l1_mm": self.l1_mm,
-            "l0_mm": self.l0_mm,
-            "p1": [float(v) for v in self.p1],
-            "p2": [float(v) for v in self.p2],
-            "rms_mm": self.rms_mm,
-            "angles_deg": [float(v) for v in self.angles_deg],
-            "rank": self.rank,
-            "slice_gap": self.slice_gap,
-            "mirror_dsc": self.mirror_dsc,
-            "error": self.error,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationReport":
@@ -125,29 +112,12 @@ def split_components(mask: LabelMask):
     return sets[1], sets[0]
 
 
-def _extremal(points: np.ndarray, direction: np.ndarray, largest: bool) -> np.ndarray:
-    """Extremal point along `direction`, lexicographic (x, y, z) tie-break."""
-    proj = points @ direction
-    best = proj.max() if largest else proj.min()
-    ties = points[np.abs(proj - best) < 1e-12]
-    order = np.lexsort((ties[:, 2], ties[:, 1], ties[:, 0]))
-    return ties[order[0]].copy()
-
-
-def find_anchors(left: np.ndarray, right: np.ndarray, direction):
-    """Outermost points: P1 minimizes <p, d> over the left set, P2 maximizes
-    it over the right set."""
-    d = np.asarray(direction, dtype=np.float64)
-    d = d / np.linalg.norm(d)
-    return _extremal(left, d, largest=False), _extremal(right, d, largest=True)
-
-
 DEFAULT_ANCHOR_SLAB_MM = 0.75
 
 
-def _slab_centroid(points: np.ndarray, direction: np.ndarray, largest: bool,
-                   slab_mm: float) -> np.ndarray:
-    """Centroid of the points within slab_mm of the extremal projection.
+def _slab_centroid(points: np.ndarray, direction: np.ndarray, largest: bool) -> np.ndarray:
+    """Centroid of the points within DEFAULT_ANCHOR_SLAB_MM of the extremal
+    projection.
 
     A single extremal voxel sits anywhere on the nearly-flat cap of the canal
     surface, so its transverse position is quantization noise on the order of
@@ -156,15 +126,14 @@ def _slab_centroid(points: np.ndarray, direction: np.ndarray, largest: bool,
     """
     proj = points @ direction
     if largest:
-        sel = proj >= proj.max() - slab_mm
+        sel = proj >= proj.max() - DEFAULT_ANCHOR_SLAB_MM
     else:
-        sel = proj <= proj.min() + slab_mm
+        sel = proj <= proj.min() + DEFAULT_ANCHOR_SLAB_MM
     return points[sel].mean(axis=0)
 
 
 def refine_sagittal(left: np.ndarray, right: np.ndarray,
-                    l0: float = DEFAULT_L0_MM, max_iter: int = DEFAULT_MAX_ITER,
-                    anchor_slab_mm: float = DEFAULT_ANCHOR_SLAB_MM):
+                    l0: float = DEFAULT_L0_MM, max_iter: int = DEFAULT_MAX_ITER):
     """Fixed-point refinement of the inter-anchor axis.
 
     Starting from world x, repeatedly re-select the extremal anchors along
@@ -173,8 +142,7 @@ def refine_sagittal(left: np.ndarray, right: np.ndarray,
     displacement at the farther anchor; iteration stops once L1 < l0.
 
     Anchors are sub-voxel estimates: the centroid of each component's
-    extremal slab of depth `anchor_slab_mm` along the current direction
-    (pass 0 to use the raw extremal voxels instead).
+    extremal slab of depth DEFAULT_ANCHOR_SLAB_MM along the current direction.
 
     Returns (P0, x_axis, dict with iterations/l1/converged/p1/p2).
     """
@@ -182,19 +150,14 @@ def refine_sagittal(left: np.ndarray, right: np.ndarray,
         raise ValueError("l0 must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if anchor_slab_mm < 0:
-        raise ValueError("anchor_slab_mm must be >= 0")
     d = np.array([1.0, 0.0, 0.0])
     p0 = p1 = p2 = None
     l1 = float("inf")
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if anchor_slab_mm > 0:
-            p1 = _slab_centroid(left, d, largest=False, slab_mm=anchor_slab_mm)
-            p2 = _slab_centroid(right, d, largest=True, slab_mm=anchor_slab_mm)
-        else:
-            p1, p2 = find_anchors(left, right, d)
+        p1 = _slab_centroid(left, d, largest=False)
+        p2 = _slab_centroid(right, d, largest=True)
         p0 = (p1 + p2) / 2.0
         sep = p2 - p1
         norm = np.linalg.norm(sep)
@@ -360,8 +323,7 @@ def rank_result(calibrated_mask: LabelMask):
 
 def calibrate(vol: Volume, mask: LabelMask,
               l0: float = DEFAULT_L0_MM, max_iter: int = DEFAULT_MAX_ITER,
-              spacing: float = DEFAULT_OUT_SPACING,
-              anchor_slab_mm: float = DEFAULT_ANCHOR_SLAB_MM):
+              spacing: float = DEFAULT_OUT_SPACING):
     """Full pipeline: split -> refine -> fit -> frame -> transform -> resample.
 
     Returns (calibrated volume, calibrated mask, CalibrationReport, pose)
@@ -374,8 +336,7 @@ def calibrate(vol: Volume, mask: LabelMask,
     except InsufficientAnchorsError as exc:
         report.error = str(exc)
         return None, None, report, None
-    p0, x_axis, info = refine_sagittal(left, right, l0=l0, max_iter=max_iter,
-                                       anchor_slab_mm=anchor_slab_mm)
+    p0, x_axis, info = refine_sagittal(left, right, l0=l0, max_iter=max_iter)
     report.iterations = info["iterations"]
     report.l1_mm = info["l1_mm"]
     report.converged = info["converged"]

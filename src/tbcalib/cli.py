@@ -2,7 +2,8 @@
 segmentation, training, calibration, and evaluation.
 
 For `phantom` and `train`, option precedence is defaults < config file
-(key=value lines) < flags.
+(key=value lines) < flags: `main` hands the config to the subcommand's parser
+as defaults, so argparse casts and overrides both sources alike.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import calibration as cal
-from .losses import dsc_metric
+from .losses import DEFAULT_LAMBDAS, dsc_metric
 from .nn import MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg, spec_from_text,
@@ -25,13 +26,6 @@ from .segment import (EmptySegmentationError, largest_components, sliding_window
                       threshold_segment)
 from .train import train_network
 from .volume import parse_key_values, read_mvol, write_mvol
-
-
-def _load_config(path):
-    if not path:
-        return {}
-    with open(path) as f:
-        return {k.replace("-", "_"): v for k, v in parse_key_values(f.read()).items()}
 
 
 def _floats(text):
@@ -52,42 +46,23 @@ def _pair(text):
     return parts
 
 
-def _merge(args, config, name, cast):
-    """Flag wins; otherwise config file; otherwise None.  `cast` is the
-    flag's argparse type, so both sources give the same value type."""
-    flag = getattr(args, name)
-    if flag is not None:
-        return flag
-    if name in config:
-        return cast(config[name])
-    return None
+def _dims(text):
+    return tuple(int(v) for v in _triple(text))
 
 
 def cmd_phantom(args) -> int:
-    config = _load_config(args.config)
     spec = PhantomSpec()
     if args.spec_file:
         with open(args.spec_file) as f:
             spec = spec_from_text(f.read())
-    overrides = {}
+    overrides = {f.name: getattr(args, f.name) for f in fields(PhantomSpec)
+                 if getattr(args, f.name, None) is not None}
     try:
-        for field, cast in [("major_radius", float), ("tube_radius", float),
-                            ("arc_span_deg", float), ("half_separation", float),
-                            ("canal_intensity", float), ("background_intensity", float),
-                            ("shell_intensity", float), ("noise_amplitude", float),
-                            ("seed", int), ("dims", _triple), ("spacing", _triple)]:
-            v = _merge(args, config, field, cast)
-            if v is not None:
-                overrides[field] = v
-        if "dims" in overrides:
-            overrides["dims"] = tuple(int(x) for x in overrides["dims"])
-        euler = _merge(args, config, "skew_euler", _triple)
-        translation = _merge(args, config, "skew_translation", _triple)
-        if euler is not None or translation is not None:
-            rot = rotation_from_euler_deg(*(euler or (0, 0, 0)))
-            overrides["skew"] = RigidPose(rot, np.array(translation or (0.0, 0.0, 0.0)))
+        if args.skew_euler is not None or args.skew_translation is not None:
+            rot = rotation_from_euler_deg(*(args.skew_euler or (0, 0, 0)))
+            overrides["skew"] = RigidPose(rot, np.array(args.skew_translation or (0.0, 0.0, 0.0)))
         spec = replace(spec, **overrides)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid phantom spec: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.output, exist_ok=True)
@@ -115,10 +90,8 @@ def cmd_segment_threshold(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
     try:
-        lambdas = _merge(args, config, "lambdas", _floats)
-        net_config = NetworkConfig() if lambdas is None else NetworkConfig(lambdas=lambdas)
+        net_config = NetworkConfig(lambdas=args.lambdas)
     except ValueError as exc:
         print(f"error: invalid lambdas: {exc}", file=sys.stderr)
         return 2
@@ -233,7 +206,9 @@ def _jsonable(obj):
     return obj
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and its subparsers action (`choices` maps each
+    subcommand to its parser)."""
     parser = argparse.ArgumentParser(prog="tbcalib",
                                      description="Temporal-bone CT canal segmentation "
                                                  "and geometric calibration")
@@ -252,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background-intensity", dest="background_intensity", type=float)
     p.add_argument("--shell-intensity", dest="shell_intensity", type=float)
     p.add_argument("--noise", dest="noise_amplitude", type=float)
-    p.add_argument("--dims", type=_triple, help="nx,ny,nz")
+    p.add_argument("--dims", type=_dims, help="nx,ny,nz")
     p.add_argument("--spacing", type=_triple, help="sx,sy,sz in mm")
     p.add_argument("--skew-euler", dest="skew_euler", type=_triple, help="rx,ry,rz in degrees")
     p.add_argument("--skew-translation", dest="skew_translation", type=_triple,
@@ -273,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=2)
-    p.add_argument("--lambdas", type=_floats, help="deep-supervision weights, comma-separated")
+    p.add_argument("--lambdas", type=_floats, default=DEFAULT_LAMBDAS,
+                   help="deep-supervision weights, comma-separated")
     p.add_argument("--loss-log", dest="loss_log", help="CSV loss log path")
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
@@ -303,11 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="metrics JSON path")
     p.set_defaults(func=cmd_evaluate)
 
-    return parser
+    return parser, sub
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, sub = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        command = sub.choices[args.command]
+        try:
+            with open(args.config) as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            command.error(f"cannot read config {args.config}: {exc}")
+        config = {k.replace("-", "_"): v for k, v in parse_key_values(text).items()}
+        for key in config:
+            if key not in vars(args) or key in ("command", "func", "config"):
+                command.error(f"{args.config}: unknown config key {key!r}")
+        command.set_defaults(**config)
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..losses import DEFAULT_LAMBDAS
 from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, Layer,
                      MaxPool3d, Sigmoid, named_layers)
 
@@ -23,7 +24,7 @@ class NetworkConfig:
     enc1_channels: int = 16       # C1, 48^3 level
     enc2_channels: int = 32       # C2, 24^3 level
     dcm_channels: int = 64        # C3, dilated-module output
-    lambdas: tuple = (0.5, 0.25)  # deep-supervision weights, 12^3 then 24^3 head
+    lambdas: tuple = DEFAULT_LAMBDAS  # deep-supervision weights, 12^3 then 24^3 head
 
     def __post_init__(self):
         for name in ("stem_channels", "growth", "dense_layers",

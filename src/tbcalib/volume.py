@@ -245,13 +245,17 @@ def read_mvol(path):
         if 0 in (nx, ny, nz):
             raise MvolError(f"{path}: zero dimension in ({nx}, {ny}, {nz})")
         n = int(nx) * int(ny) * int(nz)
-        payload = f.read(n * itemsize)
+        payload = f.read()  # not f.read(n * itemsize): n can exceed any buffer size
         if len(payload) < n * itemsize:
             raise TruncatedFileError(
                 f"{path}: payload truncated ({len(payload)} of {n * itemsize} bytes)"
             )
-    voxels = np.frombuffer(payload, dtype="<" + np.dtype(np_dtype).str[1:]).reshape(nz, ny, nx)
-    return cls(voxels=voxels.copy(), spacing=(sx, sy, sz), origin=(ox, oy, oz))
+    voxels = np.frombuffer(payload, dtype="<" + np.dtype(np_dtype).str[1:], count=n)
+    try:
+        return cls(voxels=voxels.reshape(nz, ny, nx).copy(), spacing=(sx, sy, sz),
+                   origin=(ox, oy, oz))
+    except ValueError as exc:  # a mask label other than 0/1
+        raise MvolError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

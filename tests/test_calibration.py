@@ -175,20 +175,6 @@ def test_rank_result_labels_once(monkeypatch):
 
 # --- anchors -------------------------------------------------------------------
 
-def test_find_anchors_extremal_points():
-    left = np.array([[0.0, 0, 0], [-2.0, 1, 1], [-1.0, 5, 5]])
-    right = np.array([[3.0, 0, 0], [5.0, -1, 2], [4.0, 0, 0]])
-    p1, p2 = cal.find_anchors(left, right, (1.0, 0, 0))
-    np.testing.assert_array_equal(p1, [-2.0, 1, 1])
-    np.testing.assert_array_equal(p2, [5.0, -1, 2])
-
-
-def test_find_anchors_lexicographic_tie_break():
-    left = np.array([[0.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 1.0, 1.0]])
-    p1, _ = cal.find_anchors(left, left + [10, 0, 0], (1.0, 0, 0))
-    np.testing.assert_array_equal(p1, [0.0, 1.0, 1.0])
-
-
 def test_refine_sagittal_single_iteration_when_l0_infinite():
     _, mask, _ = small_phantom()
     left, right = cal.split_components(mask)
@@ -207,22 +193,12 @@ def test_refine_sagittal_identity_phantom_axis():
     assert np.abs(p0).max() < 0.5  # mid-point near the world origin
 
 
-def test_refine_sagittal_slab_zero_uses_raw_voxels():
-    _, mask, _ = small_phantom()
-    left, right = cal.split_components(mask)
-    p1_set = {tuple(p) for p in left}
-    _, _, info = cal.refine_sagittal(left, right, anchor_slab_mm=0.0)
-    assert tuple(info["p1"]) in p1_set
-
-
 def test_refine_sagittal_validation():
     left = np.zeros((5, 3))
     with pytest.raises(ValueError):
         cal.refine_sagittal(left, left, l0=0.0)
     with pytest.raises(ValueError):
         cal.refine_sagittal(left, left, max_iter=0)
-    with pytest.raises(ValueError):
-        cal.refine_sagittal(left, left, anchor_slab_mm=-1.0)
 
 
 # --- plane fit -----------------------------------------------------------------
@@ -483,3 +459,18 @@ def test_report_json_roundtrip():
                                 rank="Good", slice_gap=0.5, mirror_dsc=0.7)
     back = cal.CalibrationReport.from_json(rep.to_json())
     assert back == rep
+
+
+def test_report_json_bytes():
+    """report.json layout is pinned: field order, indent, NaN, numpy scalars."""
+    rep = cal.CalibrationReport(iterations=3, converged=True, l1_mm=0.0625, l0_mm=0.1,
+                                p1=list(np.array([-30.5, 0.1, -1e-17])),
+                                p2=list(np.array([30.25, 0.2, 3.0])),
+                                rms_mm=0.3, angles_deg=[0.0, -1.5, 90.0], rank="Good",
+                                slice_gap=1.25, mirror_dsc=float("nan"))
+    assert rep.to_json() == (
+        '{\n  "iterations": 3,\n  "converged": true,\n  "l1_mm": 0.0625,\n  "l0_mm": 0.1,\n'
+        '  "p1": [\n    -30.5,\n    0.1,\n    -1e-17\n  ],\n'
+        '  "p2": [\n    30.25,\n    0.2,\n    3.0\n  ],\n  "rms_mm": 0.3,\n'
+        '  "angles_deg": [\n    0.0,\n    -1.5,\n    90.0\n  ],\n  "rank": "Good",\n'
+        '  "slice_gap": 1.25,\n  "mirror_dsc": NaN,\n  "error": ""\n}')

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from tbcalib import cli
 from tbcalib.cli import _per_component_dsc, main
 from tbcalib.phantom import read_pose
+from tbcalib.train import train_network
 from tbcalib.volume import LabelMask, read_mvol, write_mvol
 
 
@@ -208,3 +210,87 @@ def test_subcommands_without_options_reject_seed_and_config(argv, flag):
     with pytest.raises(SystemExit) as exc:
         run(*argv, *flag)
     assert exc.value.code == 2
+
+
+def test_train_config_supplies_every_option(small_phantom_dir, tmp_path, monkeypatch):
+    log = tmp_path / "cfg_loss.csv"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"iterations=2\nbatch-size=1\nseed=3\nlr=0.002\nloss_log={log}\n")
+    seen = []
+
+    def spy(vol, mask, **kwargs):
+        seen.append(kwargs)
+        if kwargs["iterations"] != 2:  # the 500-iteration default would run for minutes
+            raise RuntimeError(f"iterations {kwargs['iterations']} not taken from the config")
+        return train_network(vol, mask, **kwargs)
+
+    monkeypatch.setattr(cli, "train_network", spy)
+    ph = small_phantom_dir
+    assert run("train", "--input", ph / "volume.mvol", "--mask", ph / "mask.mvol",
+               "--output", tmp_path / "net.mffw", "--config", cfg) == 0
+    assert {k: seen[0][k] for k in ("iterations", "batch_size", "seed", "lr", "log_path")} == \
+        {"iterations": 2, "batch_size": 1, "seed": 3, "lr": 0.002, "log_path": str(log)}
+    rows = log.read_text().splitlines()
+    assert rows[0].startswith("iteration,") and len(rows) == 3
+
+
+def test_train_flag_beats_config(small_phantom_dir, tmp_path):
+    log = tmp_path / "cfg_loss.csv"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"iterations=3\nloss_log={log}\n")
+    # train_argv passes --iterations 1, which must win over the file's 3
+    assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw", "--config", cfg)) == 0
+    assert len(log.read_text().splitlines()) == 2
+
+
+def exit_code_and_stderr(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["phantom", "train"])
+def test_unknown_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=1\nnoise-level=5\n")
+    argv = (("phantom", "--output", tmp_path / "ph") if command == "phantom"
+            else train_argv(small_phantom_dir, tmp_path / "net.mffw"))
+    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
+    assert code == 2
+    assert "unknown config key 'noise_level'" in err
+    assert not (tmp_path / "ph").exists() and not (tmp_path / "net.mffw").exists()
+
+
+@pytest.mark.parametrize("content", [None, b"dims=\xff\n"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.txt"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, err = exit_code_and_stderr(capsys, "phantom", "--output", tmp_path / "ph",
+                                     "--config", cfg)
+    assert code == 2
+    assert f"cannot read config {cfg}" in err
+
+
+@pytest.mark.parametrize("command, text, flag", [
+    ("phantom", "dims=1,2\n", "--dims"),
+    ("train", "lr=fast\n", "--lr"),
+])
+def test_malformed_config_value_exits_2(small_phantom_dir, tmp_path, capsys, command, text, flag):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    argv = (("phantom", "--output", tmp_path / "ph") if command == "phantom"
+            else train_argv(small_phantom_dir, tmp_path / "net.mffw"))
+    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
+    assert code == 2
+    assert f"argument {flag}" in err
+
+
+def test_config_accepts_flag_spelling_of_keys(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("dims=176,80,64\nskew-euler=5,-4,8\nskew-translation=1,0,-1\n")
+    assert run("phantom", "--output", tmp_path / "a", "--config", cfg) == 0
+    assert run("phantom", "--output", tmp_path / "b", "--dims", "176,80,64",
+               "--skew-euler", "5,-4,8", "--skew-translation", "1,0,-1") == 0
+    assert (tmp_path / "a" / "pose.txt").read_text() == (tmp_path / "b" / "pose.txt").read_text()
+    assert not np.allclose(read_pose(tmp_path / "a" / "pose.txt").rotation, np.eye(3))

@@ -1,10 +1,13 @@
+import struct
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tbcalib.nn import MFFNet, NetworkConfig
 from tbcalib.nn.checkpoint import (CheckpointError, load_checkpoint,
                                    read_checkpoint_arrays, save_checkpoint)
-from tbcalib.nn.optim import Adam
 from tbcalib.phantom import PhantomSpec, generate_phantom
 from tbcalib.segment import (EmptySegmentationError, keep_largest_components,
                              sliding_window_infer, threshold_segment)
@@ -109,28 +112,12 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(ba, bb)
 
 
-def test_checkpoint_with_optimizer_state(tmp_path):
-    vol, mask, _ = phantom()
-    net, _ = train_network(vol, mask, iterations=1, config=tiny_config(),
-                           batch_size=1)
-    opt = Adam(net.named_params())
-    opt.t = 7
-    path = tmp_path / "net.mffw"
-    save_checkpoint(net, path, optimizer=opt)
-    other = MFFNet(tiny_config(), seed=9)
-    opt2 = Adam(other.named_params())
-    load_checkpoint(other, path, optimizer=opt2)
-    assert opt2.t == 7
-    for k in opt.m:
-        np.testing.assert_array_equal(opt.m[k], opt2.m[k])
-
-
 def test_checkpoint_header_magic(tmp_path):
     net = MFFNet(tiny_config(), seed=0)
     path = tmp_path / "net.mffw"
     save_checkpoint(net, path)
     assert path.read_bytes()[:4] == b"MFFW"
-    entries, _ = read_checkpoint_arrays(path)
+    entries = read_checkpoint_arrays(path)
     assert "stem.conv.w" in entries
 
 
@@ -160,6 +147,78 @@ def test_checkpoint_truncated_manifest(tmp_path, cut):
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(CheckpointError, match="truncated manifest"):
         read_checkpoint_arrays(path)
+
+
+def first_entry_dims_at(raw):
+    """Byte offset of the first manifest entry's dims, after its name and ndim."""
+    (nlen,) = struct.unpack_from("<H", raw, 12)
+    return 14 + nlen + 1
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    path = tmp_path / "net.mffw"
+    save_checkpoint(MFFNet(tiny_config(), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    raw[14] = 0xFF  # first byte of the first entry name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="utf-8"):
+        read_checkpoint_arrays(path)
+
+
+def test_checkpoint_dims_product_beyond_int64(tmp_path):
+    path = tmp_path / "net.mffw"
+    save_checkpoint(MFFNet(tiny_config(), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<2I", raw, first_entry_dims_at(raw), 2**32 - 1, 2**32 - 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="payload truncated"):
+        read_checkpoint_arrays(path)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_checkpoint_payload_cut_inside_last_value(tmp_path, cut):
+    path = tmp_path / "net.mffw"
+    save_checkpoint(MFFNet(tiny_config(), seed=0), path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CheckpointError, match="payload truncated"):
+        read_checkpoint_arrays(path)
+
+
+def test_checkpoint_buffer_shape_mismatch_rejected(tmp_path):
+    net = MFFNet(tiny_config(), seed=0)
+    wrong = [(name, np.zeros(b.size + 1)) for name, b in net.named_buffers()]
+    path = tmp_path / "net.mffw"
+    save_checkpoint(SimpleNamespace(named_params=net.named_params,
+                                    named_buffers=lambda: wrong), path)
+    with pytest.raises(CheckpointError, match="shape mismatch"):
+        load_checkpoint(net, path)
+
+
+def test_checkpoint_with_flags_and_optimizer_entries_loads_weights(tmp_path):
+    """Files that also carry optimizer moments (flags bit 0) load their weights."""
+    net = MFFNet(tiny_config(), seed=1)
+    adam = [("adam.t", SimpleNamespace(data=np.array([7.0])))] + [
+        (f"adam.{k}.{name}", SimpleNamespace(data=np.ones_like(p.data)))
+        for k in "mv" for name, p in net.named_params()]
+    path = tmp_path / "net.mffw"
+    save_checkpoint(SimpleNamespace(named_params=lambda: list(net.named_params()) + adam,
+                                    named_buffers=net.named_buffers), path)
+    raw = bytearray(path.read_bytes())
+    raw[5] = 1
+    path.write_bytes(bytes(raw))
+    other = MFFNet(tiny_config(), seed=2)
+    load_checkpoint(other, path)
+    for (_, pa), (_, pb) in zip(net.named_params(), other.named_params()):
+        np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def test_committed_benchmark_checkpoint_loads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "infer.mffw"
+    arrays = read_checkpoint_arrays(path)
+    net = MFFNet(NetworkConfig(), seed=0)
+    load_checkpoint(net, path)
+    for name, p in net.named_params():
+        np.testing.assert_array_equal(p.data, arrays[name])
 
 
 # --- sliding-window inference --------------------------------------------------------

@@ -174,6 +174,28 @@ def test_mvol_zero_dimension(tmp_path):
         read_mvol(p)
 
 
+def test_mvol_huge_dimensions(tmp_path):
+    v = Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32))
+    p = tmp_path / "huge.mvol"
+    write_mvol(v, p)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<3I", raw, 8, *(3 * [2**32 - 1]))
+    p.write_bytes(bytes(raw))
+    with pytest.raises(TruncatedFileError):
+        read_mvol(p)
+
+
+def test_mvol_mask_label_outside_0_1(tmp_path):
+    m = LabelMask(voxels=np.zeros((2, 2, 2), dtype=np.uint8))
+    p = tmp_path / "label.mvol"
+    write_mvol(m, p)
+    raw = bytearray(p.read_bytes())
+    raw[-1] = 2
+    p.write_bytes(bytes(raw))
+    with pytest.raises(MvolError, match=r"found \[2\]"):
+        read_mvol(p)
+
+
 def test_extract_cuboid_contents():
     rng = np.random.default_rng(4)
     v = Volume(voxels=rng.normal(size=(60, 55, 50)).astype(np.float32))
