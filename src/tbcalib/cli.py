@@ -51,22 +51,25 @@ def _dims(text):
 
 
 def cmd_phantom(args) -> int:
-    spec = PhantomSpec()
-    if args.spec_file:
-        with open(args.spec_file) as f:
-            spec = spec_from_text(f.read())
     overrides = {f.name: getattr(args, f.name) for f in fields(PhantomSpec)
                  if getattr(args, f.name, None) is not None}
     try:
+        spec = PhantomSpec()
+        if args.spec_file:
+            with open(args.spec_file) as f:
+                spec = spec_from_text(f.read())
         if args.skew_euler is not None or args.skew_translation is not None:
             rot = rotation_from_euler_deg(*(args.skew_euler or (0, 0, 0)))
             overrides["skew"] = RigidPose(rot, np.array(args.skew_translation or (0.0, 0.0, 0.0)))
         spec = replace(spec, **overrides)
-    except ValueError as exc:
+        vol, mask, pose = generate_phantom(spec)  # ValueError when the canals leave the grid
+    except OSError as exc:
+        print(f"error: cannot read spec file: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # PhantomSpecError and UnicodeDecodeError included
         print(f"error: invalid phantom spec: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.output, exist_ok=True)
-    vol, mask, pose = generate_phantom(spec)
     write_mvol(vol, os.path.join(args.output, "volume.mvol"))
     write_mvol(mask, os.path.join(args.output, "mask.mvol"))
     write_pose(pose, os.path.join(args.output, "pose.txt"))
@@ -124,7 +127,7 @@ def cmd_infer(args) -> int:
     vol = read_mvol(args.input)
     net = MFFNet(NetworkConfig(), seed=0)
     load_checkpoint(net, args.checkpoint)
-    mask = sliding_window_infer(net, vol, stride=args.stride, threshold=args.threshold)
+    mask = sliding_window_infer(net, vol, threshold=args.threshold)
     if mask.foreground_count() == 0:
         print("warning: empty segmentation", file=sys.stderr)
     write_mvol(mask, args.output)
@@ -254,12 +257,11 @@ def build_parser():
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="sliding-window network inference")
+    p = sub.add_parser("infer", help="network inference over the whole volume")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--stride", type=int, default=24)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("calibrate", help="geometric calibration from a mask")

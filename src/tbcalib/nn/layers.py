@@ -1,8 +1,10 @@
 """Stateful layer wrappers around the functional primitives.
 
-Each layer caches what its backward pass needs on forward, accumulates
-parameter gradients into Param.grad on backward, and returns the gradient
-with respect to its input.
+`forward(x, training)`: a training forward caches what the backward pass
+needs; an eval forward drops any earlier cache and keeps nothing, and its
+batch norm and ReLU work in place on their input, which the caller hands
+over.  Backward accumulates parameter gradients into Param.grad and
+returns the gradient with respect to the input.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class Conv3d(Layer):
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
         self._x = None
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, training):
+        self._x = x if training else None
         return ops.conv3d_forward(x, self.params["w"].data, self.params["b"].data,
                                   self.stride, self.dilation, self.padding)
 
@@ -72,8 +74,8 @@ class ConvTranspose3d(Layer):
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
         self._x = None
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, training):
+        self._x = x if training else None
         return ops.conv_transpose3d_forward(x, self.params["w"].data, self.params["b"].data)
 
     def backward(self, gy):
@@ -97,9 +99,12 @@ class BatchNorm3d(Layer):
         self._cache = None
 
     def forward(self, x, training):
-        y, self._cache = ops.batchnorm_forward(
-            x, self.params["gamma"].data, self.params["beta"].data,
-            self.buffers["running_mean"], self.buffers["running_var"], training)
+        args = (self.params["gamma"].data, self.params["beta"].data,
+                self.buffers["running_mean"], self.buffers["running_var"])
+        if not training:
+            self._cache = None
+            return ops.batchnorm_inference_inplace(x, *args)
+        y, self._cache = ops.batchnorm_forward(x, *args, training)
         return y
 
     def backward(self, gy):
@@ -110,7 +115,10 @@ class BatchNorm3d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x):
+    def forward(self, x, training):
+        if not training:
+            self._mask = None
+            return np.maximum(x, 0, out=x)
         y, self._mask = ops.relu_forward(x)
         return y
 
@@ -119,8 +127,9 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    def forward(self, x):
-        y, self._y = ops.sigmoid_forward(x)
+    def forward(self, x, training):
+        y, cache = ops.sigmoid_forward(x)
+        self._y = cache if training else None
         return y
 
     def backward(self, gy):
@@ -132,9 +141,9 @@ class MaxPool3d(Layer):
         super().__init__()
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
-    def forward(self, x):
-        self._shape = x.shape
-        y, self._arg = ops.maxpool3d_forward(x, self.kernel, self.stride, self.padding)
+    def forward(self, x, training):
+        y, arg = ops.maxpool3d_forward(x, self.kernel, self.stride, self.padding)
+        self._shape, self._arg = (x.shape, arg) if training else (None, None)
         return y
 
     def backward(self, gy):
@@ -147,9 +156,9 @@ class AvgPool3d(Layer):
         super().__init__()
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
-    def forward(self, x):
-        self._shape = x.shape
-        y, self._counts = ops.avgpool3d_forward(x, self.kernel, self.stride, self.padding)
+    def forward(self, x, training):
+        y, counts = ops.avgpool3d_forward(x, self.kernel, self.stride, self.padding)
+        self._shape, self._counts = (x.shape, counts) if training else (None, None)
         return y
 
     def backward(self, gy):
@@ -168,7 +177,8 @@ class ConvBnRelu(Layer):
         self.relu = ReLU()
 
     def forward(self, x, training):
-        return self.relu.forward(self.bn.forward(self.conv.forward(x), training))
+        return self.relu.forward(
+            self.bn.forward(self.conv.forward(x, training), training), training)
 
     def backward(self, gy):
         return self.conv.backward(self.bn.backward(self.relu.backward(gy)))

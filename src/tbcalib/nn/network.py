@@ -34,15 +34,27 @@ class NetworkConfig:
         if len(self.lambdas) != 2 or any(not 0 <= l <= 1 for l in self.lambdas):
             raise ValueError(f"lambdas must be two weights in [0, 1], got {self.lambdas}")
 
+    @property
+    def receptive_radius(self) -> int:
+        """Voxels on each side of an output voxel that can change its main
+        output.  Back from the output: dec2 and the full-resolution skip
+        (stem, L dense layers) reach L + 2 voxels; through the 24^3 stage,
+        dec1 (1 at scale 2), the dilated module (3 at scale 4), each
+        multi-pool (1 at its input scale), the second dense block (L at
+        scale 2), then the first block and the stem (L + 1) give at most
+        22 + 3L once the /2 and /4 grid alignments are counted."""
+        return 22 + 3 * self.dense_layers
+
 
 def _split(arr, sizes, axis=0):
     return np.split(arr, np.cumsum(sizes)[:-1], axis=axis)
 
 
 class DenseBlock(Layer):
-    """n layers of 3^3 conv + BN + ReLU, each concatenating its g output
-    channels onto the running feature stack; a 1^3 conv reduces the stack
-    to out_ch."""
+    """n layers of 3^3 conv + BN + ReLU, each appending its g output
+    channels to the running feature stack; a 1^3 conv reduces the stack
+    to out_ch.  The stack is one array of pre_reduction_channels channels,
+    and layer i reads its first in_ch + i*g channels in place."""
 
     def __init__(self, in_ch, out_ch, rng, growth=8, n_layers=4, dtype=np.float32):
         super().__init__()
@@ -57,21 +69,20 @@ class DenseBlock(Layer):
         self.reduce = ConvBnRelu(ch, out_ch, 1, rng, dtype=dtype)
 
     def forward(self, x, training):
-        feats = [x]
+        stack = np.empty((self.pre_reduction_channels,) + x.shape[1:], dtype=x.dtype)
+        ch = self.in_ch
+        stack[:ch] = x
         for layer in self.layers:
-            inp = np.concatenate(feats, axis=0)
-            feats.append(layer.forward(inp, training))
-        self._sizes = [f.shape[0] for f in feats]
-        pre = np.concatenate(feats, axis=0)
-        return self.reduce.forward(pre, training)
+            stack[ch:ch + self.growth] = layer.forward(stack[:ch], training)
+            ch += self.growth
+        return self.reduce.forward(stack, training)
 
     def backward(self, gy):
-        gpre = self.reduce.backward(gy)
-        gfeats = _split(gpre, self._sizes)
-        gfeats = [g.copy() for g in gfeats]
+        sizes = [self.in_ch] + [self.growth] * len(self.layers)
+        gfeats = [g.copy() for g in _split(self.reduce.backward(gy), sizes)]
         for i in range(len(self.layers), 0, -1):
             gin = self.layers[i - 1].backward(gfeats[i])
-            for j, gpart in enumerate(_split(gin, self._sizes[:i])):
+            for j, gpart in enumerate(_split(gin, sizes[:i])):
                 gfeats[j] += gpart
         return gfeats[0]
 
@@ -129,21 +140,11 @@ class MultiPoolModule(Layer):
         ]
         self.reduce = ConvBnRelu(4 * channels, channels, 1, rng, dtype=dtype)
 
-    @staticmethod
-    def check_even(x):
+    def forward(self, x, training):
         if any(n % 2 for n in x.shape[1:]):
             raise ValueError(f"multi-pool needs even spatial dims, got {x.shape[1:]}")
-
-    def branch_outputs(self, x):
-        """Pool branch outputs before concatenation (shared shape)."""
-        self.check_even(x)
-        return [p.forward(x) for p in self.pools]
-
-    def forward(self, x, training):
-        outs = self.branch_outputs(x)
-        shapes = {o.shape for o in outs}
-        assert len(shapes) == 1, f"branch shapes diverge: {shapes}"
-        return self.reduce.forward(np.concatenate(outs, axis=0), training)
+        cat = np.concatenate([p.forward(x, training) for p in self.pools], axis=0)
+        return self.reduce.forward(cat, training)
 
     def backward(self, gy):
         gcat = self.reduce.backward(gy)
@@ -219,27 +220,35 @@ class MFFNet:
         """x: (1, D, H, W) normalized cuboid with spatial dims divisible by 4.
 
         Returns (main, [aux_12, aux_24]) probability maps at input resolution.
+        Only a training forward keeps what backward needs; an eval forward
+        keeps nothing and drops each stage's input once it is used.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
             raise ValueError(f"input must be (C, D, H, W), got shape {x.shape}")
         if any(n % 4 for n in x.shape[1:]):
             raise ValueError(f"spatial dims must be divisible by 4, got {x.shape[1:]}")
+        self._forward_done = False
         t = self.stem.forward(x, training)
+        del x
         s1 = self.db1.forward(t, training)
-        p1 = self.mp1.forward(s1, training)
-        s2 = self.db2.forward(p1, training)
-        p2 = self.mp2.forward(s2, training)
-        m = self.dcm.forward(p2, training)
-        u1 = self.up1.forward(m)
-        d1 = self.dec1.forward(np.concatenate([u1, s2], axis=0), training)
-        u2 = self.up2.forward(d1)
-        d2 = self.dec2.forward(np.concatenate([u2, s1], axis=0), training)
-        main = self.out_sig.forward(self.out_conv.forward(d2))
-        aux12 = self.head12_sig.forward(
-            self.head12_up2.forward(self.head12_up1.forward(self.head12_conv.forward(m))))
-        aux24 = self.head24_sig.forward(self.head24_up.forward(self.head24_conv.forward(d1)))
-        self._forward_done = True
+        del t
+        s2 = self.db2.forward(self.mp1.forward(s1, training), training)
+        m = self.dcm.forward(self.mp2.forward(s2, training), training)
+        aux12 = self.head12_sig.forward(self.head12_up2.forward(self.head12_up1.forward(
+            self.head12_conv.forward(m, training), training), training), training)
+        cat = np.concatenate([self.up1.forward(m, training), s2], axis=0)
+        del m, s2
+        d1 = self.dec1.forward(cat, training)
+        del cat
+        aux24 = self.head24_sig.forward(self.head24_up.forward(
+            self.head24_conv.forward(d1, training), training), training)
+        cat = np.concatenate([self.up2.forward(d1, training), s1], axis=0)
+        del d1, s1
+        d2 = self.dec2.forward(cat, training)
+        del cat
+        main = self.out_sig.forward(self.out_conv.forward(d2, training), training)
+        self._forward_done = training
         return main, [aux12, aux24]
 
     def backward(self, grad_main, grad_aux):
@@ -249,7 +258,8 @@ class MFFNet:
         outputs, in that order.
         """
         if not self._forward_done:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training forward since the last "
+                               "backward or eval forward")
         dt = self.dtype
         g12, g24 = (np.asarray(g, dtype=dt) for g in grad_aux)
         gm = self.head12_conv.backward(self.head12_up1.backward(

@@ -19,10 +19,14 @@ COLS_BYTES bounds each `cols` buffer, whatever the volume size.
 
 The transposed convolution takes kernel = stride, so its output windows
 never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward pass is
-one GEMM wᵀ @ x giving every (output channel, tap) row at once, then a
-reshape/transpose that interleaves the taps into the upsampled grid; the
-backward pass undoes that interleave on grad_out and makes one GEMM each
-for grad_x and grad_w.
+one GEMM wᵀ @ x giving every (output channel, tap) row at once, then each
+tap's rows are written, bias added, into their strided slice of the
+upsampled grid; the backward pass undoes that interleave on grad_out and
+makes one GEMM each for grad_x and grad_w.
+
+The forward functions return what their backward pass needs.  Inference
+needs none of it: `batchnorm_inference_inplace` is the running-statistics
+batch norm without a cache, applied in place.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def _flat_padded(x, padding, k, dilation):
     """x zero-padded and flattened to (C, Dp·Hp·Wp), its padded spatial
     shape, and the flat shift of each kernel tap in (kd, kh, kw) order."""
     pd, ph, pw = _triple(padding)
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw))) if pd or ph or pw else x
     _, dp, hp, wp = xp.shape
     offs = [dilation * (kd * hp * wp + kh * wp + kw) for kd, kh, kw in np.ndindex(k, k, k)]
     return xp.reshape(x.shape[0], -1), (dp, hp, wp), offs
@@ -155,10 +159,12 @@ def conv_transpose3d_forward(x, w, b, stride=2):
     if ci_w != ci:
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
     k = _check_transpose_kernel(w, stride)
-    taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, -1)  # (Co, k³·D·H·W)
-    taps += b[:, None]
-    y = taps.reshape(co, k, k, k, d, h, wd).transpose(0, 4, 1, 5, 2, 6, 3)
-    return y.reshape(co, d * k, h * k, wd * k)
+    taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, k, k, k, d, h, wd)
+    y = np.empty((co, d * k, h * k, wd * k), dtype=taps.dtype)
+    bias = b[:, None, None, None]
+    for kd, kh, kw in np.ndindex(k, k, k):
+        np.add(taps[:, kd, kh, kw], bias, out=y[:, kd::k, kh::k, kw::k])
+    return y
 
 
 def conv_transpose3d_backward(x, w, grad_out, stride=2):
@@ -179,7 +185,7 @@ def _pool_prepare(x, k, stride, padding, pad_value):
     out = tuple((n + 2 * p - k) // stride + 1 for n in (d, h, w))
     if any(n <= 0 for n in out):
         raise ValueError(f"pooling window {k} too large for input {x.shape[1:]}")
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)), constant_values=pad_value)
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)), constant_values=pad_value) if p else x
     return xp, out, p
 
 
@@ -206,9 +212,8 @@ def maxpool3d_forward(x, k, stride, padding=0):
     arg = np.zeros((x.shape[0],) + out, dtype=np.int8)
     for tap, sl in _pool_slices(out, k, stride):
         xs = xp[sl]
-        better = xs > y
-        y = np.where(better, xs, y)
-        arg = np.where(better, np.int8(tap), arg)
+        np.copyto(arg, np.int8(tap), where=xs > y)
+        np.maximum(y, xs, out=y)
     return y, arg
 
 
@@ -274,10 +279,24 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     else:
         mean, var = running_mean.copy(), running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    scale = gamma * inv_std
-    shift = beta - mean * scale
-    y = xr * scale.astype(x.dtype)[:, None] + shift.astype(x.dtype)[:, None]
+    scale, shift = _bn_scale_shift(gamma, beta, mean, inv_std, x.dtype)
+    y = xr * scale[:, None] + shift[:, None]
     return y.reshape(x.shape), (xr, mean, inv_std, gamma, training)
+
+
+def _bn_scale_shift(gamma, beta, mean, inv_std, dtype):
+    scale = gamma * inv_std
+    return scale.astype(dtype), (beta - mean * scale).astype(dtype)
+
+
+def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    """batchnorm_forward(training=False) written over x, with no cache:
+    the same per-channel scale and shift, so the same bits.  Returns x."""
+    scale, shift = _bn_scale_shift(gamma, beta, running_mean,
+                                   1.0 / np.sqrt(running_var + eps), x.dtype)
+    x *= scale[:, None, None, None]
+    x += shift[:, None, None, None]
+    return x
 
 
 def batchnorm_backward(cache, grad_out):

@@ -33,6 +33,8 @@ class RigidPose:
         self.translation = np.asarray(self.translation, dtype=np.float64)
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
+        if not (np.all(np.isfinite(self.rotation)) and np.all(np.isfinite(self.translation))):
+            raise ValueError("pose entries must be finite")
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         if err > ORTHO_TOL:
             raise ValueError(f"rotation not orthonormal (max |RtR - I| = {err:.3e})")
@@ -115,6 +117,10 @@ class PhantomSpec:
             raise ValueError("arc span must be in (0, 360] degrees")
         if self.half_separation <= self.major_radius:
             raise ValueError("half-separation c must exceed R_c")
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be three positive sizes, got {self.dims}")
+        if len(self.spacing) != 3 or not all(0 < v < math.inf for v in self.spacing):
+            raise ValueError(f"spacing must be three positive finite values, got {self.spacing}")
 
 
 def _spec_grid_origin(spec: PhantomSpec):
@@ -145,29 +151,49 @@ def spec_to_text(spec: PhantomSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spec_from_text(text: str) -> PhantomSpec:
-    kv = parse_key_values(text)
-    spec = PhantomSpec()
-    floats = [
+class PhantomSpecError(ValueError):
+    """Spec text that does not decode to a valid PhantomSpec."""
+
+
+# spec_to_text key -> (caster, number of comma-separated values; 0 for a scalar)
+_SPEC_KEYS = {
+    **{name: (float, 0) for name in (
         "major_radius", "tube_radius", "arc_span_deg", "half_separation",
         "canal_intensity", "background_intensity", "shell_intensity",
-        "shell_thickness", "noise_amplitude",
-    ]
-    kwargs = {k: float(kv[k]) for k in floats if k in kv}
-    if "dims" in kv:
-        kwargs["dims"] = tuple(int(v) for v in kv["dims"].split(","))
-    if "spacing" in kv:
-        kwargs["spacing"] = tuple(float(v) for v in kv["spacing"].split(","))
-    if "seed" in kv:
-        kwargs["seed"] = int(kv["seed"])
-    rot = np.eye(3)
-    tr = np.zeros(3)
-    if "skew_rotation" in kv:
-        rot = np.array([float(v) for v in kv["skew_rotation"].split(",")]).reshape(3, 3)
-    if "skew_translation" in kv:
-        tr = np.array([float(v) for v in kv["skew_translation"].split(",")])
-    kwargs["skew"] = RigidPose(rot, tr)
-    return replace(spec, **kwargs)
+        "shell_thickness", "noise_amplitude")},
+    "seed": (int, 0),
+    "dims": (int, 3),
+    "spacing": (float, 3),
+    "skew_rotation": (float, 9),
+    "skew_translation": (float, 3),
+}
+
+
+def spec_from_text(text: str) -> PhantomSpec:
+    """Decode spec_to_text output; keys left out keep their defaults.
+
+    Raises PhantomSpecError on an unknown key, a value that does not cast, a
+    vector with the wrong number of values, or a spec PhantomSpec rejects."""
+    kv = parse_key_values(text)
+    unknown = sorted(set(kv) - set(_SPEC_KEYS))
+    if unknown:
+        raise PhantomSpecError(f"unknown spec keys: {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, raw in kv.items():
+        cast, n = _SPEC_KEYS[key]
+        parts = raw.split(",")
+        if n and len(parts) != n:
+            raise PhantomSpecError(f"{key} needs {n} comma-separated values, got {raw!r}")
+        try:
+            values[key] = tuple(cast(v) for v in parts) if n else cast(raw)
+        except ValueError as exc:
+            raise PhantomSpecError(f"{key}: {exc}") from exc
+    rotation = np.reshape(values.pop("skew_rotation", np.eye(3)), (3, 3))
+    translation = np.array(values.pop("skew_translation", (0.0, 0.0, 0.0)))
+    try:
+        return replace(PhantomSpec(), skew=RigidPose(rotation, translation), **values)
+    except ValueError as exc:
+        raise PhantomSpecError(str(exc)) from exc
 
 
 def _arc_distance_sq(q, center_x, r_major, span_deg):

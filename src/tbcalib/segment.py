@@ -1,16 +1,21 @@
-"""Mask production: intensity-band thresholding (baseline) and sliding-window
-network inference with overlap averaging."""
+"""Mask production: intensity-band thresholding (baseline) and network
+inference in one eval forward over the whole field, tiled with a halo above
+TILE_VOXELS."""
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 from scipy import ndimage
 
-from .volume import CUBOID_SIDE, LabelMask, Volume, normalize_intensity
+from .volume import LabelMask, Volume, normalize_intensity
 
 MIN_COMPONENT_VOXELS = 20
+# Largest tile, halo included, that one eval forward covers.  The default
+# 160x96x96 field (1.47 M voxels) is one tile and peaks at about 0.6 GB RSS.
+TILE_VOXELS = 1 << 21
 
 
 class EmptySegmentationError(Exception):
@@ -58,41 +63,55 @@ def threshold_segment(vol: Volume, band) -> LabelMask:
     return LabelMask(voxels=filtered, spacing=vol.spacing.copy(), origin=vol.origin.copy())
 
 
-def _window_starts(n: int, window: int, stride: int):
-    starts = list(range(0, max(n - window, 0) + 1, stride))
-    if starts[-1] != n - window:
-        starts.append(n - window)
-    return starts
+def _tiles(shape, halo):
+    """(core, tile) slice triples over a field whose dims are multiples of 4.
+
+    The cores partition the field into blocks with sides that are multiples
+    of 4; each tile is its core grown by `halo` on every side, clipped to
+    the field.  The longest core side is split until the largest tile holds
+    at most TILE_VOXELS voxels (or every core side is 4)."""
+    counts = [1, 1, 1]
+    while True:
+        sides = [4 * -(-n // (4 * k)) for n, k in zip(shape, counts)]
+        cores = [[slice(s, min(s + c, n)) for s in range(0, n, c)]
+                 for n, c in zip(shape, sides)]
+        tiles = [[slice(max(q.start - halo, 0), min(q.stop + halo, n)) for q in qs]
+                 for qs, n in zip(cores, shape)]
+        largest = np.prod([max(t.stop - t.start for t in ts) for ts in tiles])
+        a = int(np.argmax(sides))
+        if largest <= TILE_VOXELS or sides[a] == 4:
+            break
+        counts[a] += 1
+    for pairs in itertools.product(*(list(zip(qs, ts)) for qs, ts in zip(cores, tiles))):
+        yield tuple(q for q, _ in pairs), tuple(t for _, t in pairs)
 
 
-def sliding_window_infer(net, vol: Volume, stride: int = CUBOID_SIDE // 2,
-                         threshold: float = 0.5) -> LabelMask:
-    """Whole-volume inference: 48^3 windows at the given stride, overlapping
-    probabilities averaged, thresholded, two-largest-components filter.
+def predict_probabilities(net, vol: Volume) -> np.ndarray:
+    """The network's main output over the whole field, on the volume's grid.
 
-    Volumes smaller than the window are padded with the air value and the
-    result cropped back.
-    """
-    w = CUBOID_SIDE
+    The normalized field is padded with the air value to multiples of 4 and
+    run through one eval forward.  A field above TILE_VOXELS runs as tiles
+    whose halo, the receptive radius rounded up to a multiple of 4, holds
+    everything that reaches a core voxel, so the tiles give the whole-field
+    result."""
     data = normalize_intensity(vol).voxels
-    nz, ny, nx = data.shape
-    pz, py, px = (max(0, w - n) for n in (nz, ny, nx))
-    if pz or py or px:
-        data = np.pad(data, ((0, pz), (0, py), (0, px)),
-                      constant_values=float(data.min()))
-    dz, dy, dx = data.shape
-    prob = np.zeros((dz, dy, dx), dtype=np.float64)
-    count = np.zeros((dz, dy, dx), dtype=np.float64)
-    for z0 in _window_starts(dz, w, stride):
-        for y0 in _window_starts(dy, w, stride):
-            for x0 in _window_starts(dx, w, stride):
-                patch = data[z0:z0 + w, y0:y0 + w, x0:x0 + w]
-                main, _ = net.forward(patch[None].astype(net.dtype), training=False)
-                prob[z0:z0 + w, y0:y0 + w, x0:x0 + w] += main[0]
-                count[z0:z0 + w, y0:y0 + w, x0:x0 + w] += 1.0
-    prob /= count
-    binary = (prob[:nz, :ny, :nx] >= threshold)
-    filtered = keep_largest_components(binary)
+    shape = data.shape
+    data = np.pad(data, [(0, -n % 4) for n in shape], constant_values=float(data.min()))
+    halo = 0
+    if data.size > TILE_VOXELS:  # so a one-tile field needs only net.forward and net.dtype
+        halo = 4 * -(-net.config.receptive_radius // 4)
+    prob = np.empty(data.shape, dtype=net.dtype)
+    for core, tile in _tiles(data.shape, halo):
+        main, _ = net.forward(data[tile][None].astype(net.dtype), training=False)
+        prob[core] = main[0][tuple(slice(c.start - t.start, c.stop - t.start)
+                                   for c, t in zip(core, tile))]
+    return prob[:shape[0], :shape[1], :shape[2]]
+
+
+def sliding_window_infer(net, vol: Volume, threshold: float = 0.5) -> LabelMask:
+    """Network segmentation: predict_probabilities thresholded, then the two
+    largest components kept."""
+    filtered = keep_largest_components(predict_probabilities(net, vol) >= threshold)
     if not filtered.any():
         warnings.warn("empty segmentation: no component survived filtering")
     return LabelMask(voxels=filtered, spacing=vol.spacing.copy(), origin=vol.origin.copy())

@@ -55,6 +55,21 @@ def test_phantom_invalid_spec_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,spec_text", [
+    (("--spec-file", "s.txt"), "dims=1,2\n"),
+    (("--spec-file", "s.txt"), "bogus=3\n"),
+    (("--spec-file", "missing.txt"), None),
+    (("--dims", "96,64,48", "--skew-euler", "5,-4,8"), None),  # canals leave the grid
+])
+def test_phantom_bad_spec_exits_2(tmp_path, capsys, argv, spec_text):
+    if spec_text is not None:
+        (tmp_path / "s.txt").write_text(spec_text)
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    assert run("phantom", "--output", tmp_path / "x", *argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("dims=160,64,48\nnoise_amplitude=50\n")

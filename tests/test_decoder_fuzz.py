@@ -1,5 +1,6 @@
-"""Property tests: a truncated or byte-flipped `.mffw` or `.mvol` file makes its
-decoder raise only its own typed error (`CheckpointError`, `MvolError`)."""
+"""Property tests: a truncated or byte-flipped `.mffw` or `.mvol` file or
+phantom spec text makes its decoder raise only its own typed error
+(`CheckpointError`, `MvolError`, `PhantomSpecError`)."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tbcalib.nn import MFFNet, NetworkConfig  # noqa: E402
 from tbcalib.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint  # noqa: E402
+from tbcalib.phantom import (PhantomSpec, PhantomSpecError, RigidPose,  # noqa: E402
+                             rotation_from_euler_deg, spec_from_text, spec_to_text)
 from tbcalib.volume import LabelMask, MvolError, Volume, read_mvol, write_mvol  # noqa: E402
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -84,6 +87,22 @@ def test_damaged_mvol_raises_only_mvol_error(mvol_bytes, tmp_path):
         try:
             read_mvol(path)
         except MvolError:
+            pass
+
+    check()
+
+
+def test_damaged_spec_text_raises_only_phantom_spec_error():
+    spec = PhantomSpec(noise_amplitude=50.0, seed=7,
+                       skew=RigidPose(rotation_from_euler_deg(5, -3, 2), [0.5, 1.0, -1.5]))
+    data = spec_to_text(spec).encode()
+
+    @FUZZ
+    @given(damaged(data, hot=len(data)))
+    def check(damaged_data):
+        try:
+            assert isinstance(spec_from_text(damaged_data.decode("latin-1")), PhantomSpec)
+        except PhantomSpecError:
             pass
 
     check()

@@ -280,6 +280,25 @@ def test_conv_transpose_matches_per_tap_oracle(ci, co, dhw, dtype):
         np.testing.assert_allclose(a, r, rtol=1e-5, atol=1e-5 * np.abs(r).max(), err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co,dhw", [(3, 2, (3, 5, 4)), (64, 32, (12, 8, 28)), (1, 1, (7, 2, 5))])
+def test_conv_transpose_interleave_matches_reshape_formula(ci, co, dhw, dtype):
+    """The strided-slice tap writes give the bits of the former single
+    reshape/transpose interleave of the bias-added GEMM output."""
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(ci,) + dhw).astype(dtype)
+    w = rng.normal(size=(ci, co, 2, 2, 2)).astype(dtype)
+    b = rng.normal(size=co).astype(dtype)
+    d, h, wd = dhw
+    taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, -1)
+    taps += b[:, None]
+    ref = taps.reshape(co, 2, 2, 2, d, h, wd).transpose(0, 4, 1, 5, 2, 6, 3)
+    ref = ref.reshape(co, 2 * d, 2 * h, 2 * wd)
+    y = ops.conv_transpose3d_forward(x, w, b, stride=2)
+    assert y.dtype == dtype and y.flags.c_contiguous
+    np.testing.assert_array_equal(y, ref)
+
+
 @pytest.mark.parametrize("k,stride", [(2, 1), (3, 2), (2, 3)])
 def test_conv_transpose_needs_kernel_equal_to_stride(k, stride):
     x = np.zeros((1, 4, 4, 4))

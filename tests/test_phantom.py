@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from tbcalib.phantom import (PhantomSpec, RigidPose, generate_phantom,
+from tbcalib.phantom import (PhantomSpecError, PhantomSpec, RigidPose, generate_phantom,
                              read_pose, rotation_angle_deg,
                              rotation_from_euler_deg, sample_training_pair,
                              spec_from_text, spec_to_text, write_pose)
@@ -91,6 +91,22 @@ def test_spec_text_roundtrip():
     assert back.seed == 7
     np.testing.assert_allclose(back.skew.rotation, spec.skew.rotation)
     np.testing.assert_allclose(back.skew.translation, spec.skew.translation)
+
+
+@pytest.mark.parametrize("line", [
+    "bogus=3",               # unknown key
+    "dims=1,2",              # two of three values
+    "spacing=0.5,0.5,0.5,0.5",
+    "skew_translation=1,2",
+    "skew_rotation=1,0,0,0,1,0,0,0",
+    "seed=1.5",              # does not cast
+    "tube_radius=9",         # a spec PhantomSpec rejects
+    "dims=0,64,48",
+    "skew_rotation=nan,0,0,0,1,0,0,0,1",  # NaN fails no comparison-based check
+])
+def test_spec_from_text_rejects_with_typed_error(line):
+    with pytest.raises(PhantomSpecError):
+        spec_from_text(spec_to_text(PhantomSpec()) + line + "\n")
 
 
 def test_spec_validation():

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tbcalib import segment
 from tbcalib.nn import MFFNet, NetworkConfig
 from tbcalib.nn.checkpoint import (CheckpointError, load_checkpoint,
                                    read_checkpoint_arrays, save_checkpoint)
 from tbcalib.phantom import PhantomSpec, generate_phantom
 from tbcalib.segment import (EmptySegmentationError, keep_largest_components,
-                             sliding_window_infer, threshold_segment)
+                             predict_probabilities, sliding_window_infer, threshold_segment)
 from tbcalib.train import train_network
 from tbcalib.volume import Volume
 
@@ -228,10 +229,40 @@ def test_sliding_window_output_grid_and_range():
     vol = Volume(voxels=rng.normal(500, 200, size=(48, 52, 60)).astype(np.float32),
                  spacing=(0.5, 0.5, 0.5), origin=(-1.0, 0.0, 2.0))
     net = MFFNet(tiny_config(), seed=0)
-    mask = sliding_window_infer(net, vol, stride=24)
+    mask = sliding_window_infer(net, vol)
     assert mask.voxels.shape == vol.voxels.shape
     assert mask.same_grid(vol)
     assert set(np.unique(mask.voxels)) <= {0, 1}
+
+
+class ShapeLog:
+    """Passes forwards to the net and records each input shape."""
+
+    def __init__(self, net):
+        self.net, self.dtype, self.config = net, net.dtype, net.config
+        self.shapes = []
+
+    def forward(self, x, training=False):
+        self.shapes.append(x.shape[1:])
+        return self.net.forward(x, training=training)
+
+
+def test_tiled_inference_equals_whole_field(monkeypatch):
+    """A field forced into 2 x 2 tiles with the receptive-radius halo gives
+    the one-forward probabilities."""
+    rng = np.random.default_rng(2)
+    vol = Volume(voxels=rng.normal(500, 200, size=(94, 96, 34)).astype(np.float32))
+    net = ShapeLog(MFFNet(tiny_config(), seed=1))
+    whole = predict_probabilities(net, vol)
+    assert net.shapes == [(96, 96, 36)]
+    assert tiny_config().receptive_radius == 28  # halo 28: no rounding slack
+    monkeypatch.setattr(segment, "TILE_VOXELS", 76 * 76 * 36)
+    net.shapes = []
+    tiled = predict_probabilities(net, vol)
+    assert net.shapes == [(76, 76, 36)] * 4
+    assert tiled.shape == whole.shape == vol.voxels.shape
+    assert np.ptp(whole) > 0.01
+    np.testing.assert_allclose(tiled, whole, rtol=0, atol=1e-6)
 
 
 def test_sliding_window_pads_small_volumes():
