@@ -89,11 +89,6 @@ class CalibrationReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationReport":
-        d = json.loads(text)
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
-
 
 def split_components(mask: LabelMask):
     """26-connected component split; returns (left, right) world-coordinate

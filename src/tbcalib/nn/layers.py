@@ -142,8 +142,11 @@ class MaxPool3d(Layer):
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
     def forward(self, x, training):
-        y, arg = ops.maxpool3d_forward(x, self.kernel, self.stride, self.padding)
-        self._shape, self._arg = (x.shape, arg) if training else (None, None)
+        if not training:
+            self._shape = self._arg = None
+            return ops.maxpool3d_inference(x, self.kernel, self.stride, self.padding)
+        y, self._arg = ops.maxpool3d_forward(x, self.kernel, self.stride, self.padding)
+        self._shape = x.shape
         return y
 
     def backward(self, gy):

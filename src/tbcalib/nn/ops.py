@@ -7,15 +7,36 @@ All convolutions are cross-correlations.  Spatial dims are ordered
 Conv3d runs on a flat padded layout: the zero-padded input (C, Dp, Hp, Wp)
 is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw) is the shift
 dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every tap is a
-plain slice.  The forward pass stacks the k³ shifted slices of the input
-into an im2col buffer `cols` of shape (k³·Ci, n) and makes one GEMM per
-chunk of n flat positions; the output is computed on the padded layout and
-its valid region cropped out.  The backward pass places grad_out on the
-same layout behind a margin of the largest shift and im2cols it on the Co
-side, so one (k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and grad_w
-(cols @ x_padᵀ).  A stride s keeps every s-th stride-1 output, and its
-gradient is grad_out scattered to every s-th position with zeros between.
-COLS_BYTES bounds each `cols` buffer, whatever the volume size.
+plain slice.  The output is computed on the padded layout, one chunk of n
+flat positions at a time, and its valid region cropped out.  The forward
+pass stacks only the k depth-shifted slabs of the input into `cols`, of
+shape (k·Ci, n + span), span being the largest in-plane shift; one GEMM
+with the kernel laid out as (k²·Co, k·Ci) gives a partial output for each
+in-plane tap (kh, kw), and the chunk is the sum of the k² partials, each
+read at its shift dilation·(kh·Wp + kw) (the im2col/kn2row hybrid of
+Anderson et al., arXiv:1709.03395).  That copies k·Ci rows and writes
+k²·Co partial rows in place of the k³·Ci rows of a full im2col, so it is
+used when (k² - 1)·Ci > 2k·Co; with fewer input channels, as in the
+one-channel stem, `cols` stacks all k³ shifted slices and one (Co, k³·Ci)
+GEMM writes the output.  A 1³ conv is one GEMM on the input itself.  The
+backward pass places grad_out on the same layout behind a margin of the
+largest shift and stacks its k³ shifted slices on the Co side, so one
+(k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and grad_w (cols @ x_padᵀ):
+grad_w needs every tap's slice of grad_out, which a depth-stacked chunk
+would only give through k² narrow GEMMs.  A stride s keeps every s-th
+stride-1 output, and its gradient is grad_out scattered to every s-th
+position with zeros between.  COLS_BYTES bounds `cols` and the partial
+buffer together, whatever the volume size.
+
+Pooling never pads: each kernel tap reads the outputs whose input position
+lies inside the volume, a strided slice per axis, which is all that padding
+would have let through.  A max pool at inference computes no argmax and
+runs one running max per spatial axis, exact because max does not depend
+on order; a training max pool then finds the argmax in one pass over the
+taps, last to first, so the first tap in scan order wins ties.  Average
+pooling sums its k³ taps in scan order, like the nested-loop definition,
+divides by the outer product of the per-axis in-bounds counts, and
+scatters its gradient one axis at a time.
 
 The transposed convolution takes kernel = stride, so its output windows
 never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward pass is
@@ -31,10 +52,12 @@ batch norm without a cache, applied in place.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy import special
 
-COLS_BYTES = 8 << 20  # bound on the im2col buffer of one conv call
+COLS_BYTES = 8 << 20  # bound on the chunk buffers of one conv call
 
 
 def _triple(v):
@@ -66,26 +89,42 @@ def conv3d_output_shape(spatial, k, stride, dilation, padding):
 
 def _flat_padded(x, padding, k, dilation):
     """x zero-padded and flattened to (C, Dp·Hp·Wp), its padded spatial
-    shape, and the flat shift of each kernel tap in (kd, kh, kw) order."""
+    shape, the flat shift of each depth tap kd and of each in-plane tap
+    (kh, kw) in scan order; tap (kd, kh, kw) is the sum of the two."""
     pd, ph, pw = _triple(padding)
     xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw))) if pd or ph or pw else x
     _, dp, hp, wp = xp.shape
-    offs = [dilation * (kd * hp * wp + kh * wp + kw) for kd, kh, kw in np.ndindex(k, k, k)]
-    return xp.reshape(x.shape[0], -1), (dp, hp, wp), offs
+    depth = [dilation * kd * hp * wp for kd in range(k)]
+    plane = [dilation * (kh * wp + kw) for kh, kw in np.ndindex(k, k)]
+    return xp.reshape(x.shape[0], -1), (dp, hp, wp), depth, plane
 
 
-def _im2col_chunks(src, starts, lo, hi):
-    """Yield (a, b, cols) over chunks [a, b) of [lo, hi); row block t of the
-    reused (len(starts)·C, b - a) buffer cols holds src[:, starts[t] + a :
-    starts[t] + b].  cols holds at most COLS_BYTES, or one column."""
+def _stacked_chunks(src, starts, span, lo, hi, part_rows):
+    """Yield (a, b, cols, part) over chunks [a, b) of [lo, hi): row block t
+    of cols holds src[:, starts[t] + a : starts[t] + b + span], and part is
+    an uninitialised (part_rows, b - a + span) buffer for the GEMM on cols.
+    The two reused buffers hold at most COLS_BYTES together, or one chunk
+    of one column."""
+    rows = len(starts) * src.shape[0]
+    n = max(1, COLS_BYTES // ((rows + part_rows) * src.itemsize) - span)
+    n = min(n, hi - lo)
+    cols = np.empty((rows, n + span), dtype=src.dtype)
+    part = np.empty((part_rows, n + span), dtype=src.dtype)
     c = src.shape[0]
-    n = max(1, COLS_BYTES // (len(starts) * c * src.itemsize))
-    cols = np.empty((len(starts) * c, min(n, hi - lo)), dtype=src.dtype)
     for a in range(lo, hi, n):
         b = min(a + n, hi)
+        m = b - a + span
         for t, s in enumerate(starts):
-            cols[t * c:(t + 1) * c, :b - a] = src[:, s + a:s + b]
-        yield a, b, cols[:, :b - a]
+            cols[t * c:(t + 1) * c, :m] = src[:, s + a:s + a + m]
+        yield a, b, cols[:, :m], part[:, :m]
+
+
+def _shift_add(part, shifts, out):
+    """out = sum over t of row block t of part, read from column shifts[t]."""
+    r, n = out.shape
+    np.add(part[:r, shifts[0]:shifts[0] + n], part[r:2 * r, shifts[1]:shifts[1] + n], out=out)
+    for t, s in enumerate(shifts[2:], start=2):
+        out += part[t * r:(t + 1) * r, s:s + n]
 
 
 def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
@@ -101,12 +140,24 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
         raise ValueError("kernel must be cubic")
     conv3d_output_shape((d, h, wd), k, stride, dilation, padding)  # stride divides
     d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
-    xf, (_, hp, wp), offs = _flat_padded(x, padding, k, dilation)
-    wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
-    yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
-    for a, e, cols in _im2col_chunks(xf, offs, 0, xf.shape[1] - offs[-1]):
-        np.matmul(wm, cols, out=yf[:, a:e])
-    del xf, cols  # free before the crop copy; cols views the im2col buffer
+    xf, (_, hp, wp), depth, plane = _flat_padded(x, padding, k, dilation)
+    n_out = xf.shape[1] - depth[-1] - plane[-1]  # last tap still in range
+    if k == 1:
+        yf = w.reshape(co, ci) @ xf
+    else:
+        yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
+        if (k * k - 1) * ci > 2 * k * co:  # depth-stacked moves fewer rows
+            wz = w.transpose(3, 4, 0, 2, 1).reshape(k * k * co, k * ci)  # rows (kh, kw, co)
+            for a, e, cols, part in _stacked_chunks(xf, depth, plane[-1], 0, n_out, k * k * co):
+                np.matmul(wz, cols, out=part)
+                _shift_add(part, plane, yf[:, a:e])
+        else:
+            wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
+            offs = [z + s for z in depth for s in plane]
+            for a, e, cols, part in _stacked_chunks(xf, offs, 0, 0, n_out, 0):
+                np.matmul(wm, cols, out=yf[:, a:e])
+        del cols, part  # free before the crop copy; both view the chunk buffers
+    del xf
     return yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride] + b[:, None, None, None]
 
 
@@ -118,7 +169,8 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     if grad_out.shape != (co, do, ho, wo):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(co, do, ho, wo)}")
     d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
-    xf, (dp, hp, wp), offs = _flat_padded(x, padding, k, dilation)
+    xf, (dp, hp, wp), depth, plane = _flat_padded(x, padding, k, dilation)
+    offs = [z + s for z in depth for s in plane]
     # grad_out on the stride-1 padded layout, behind a margin of the largest
     # shift: grad_x at flat q reads tap t at q + margin - offs[t].
     margin = offs[-1]
@@ -132,7 +184,7 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     wm_t = w.transpose(1, 2, 3, 4, 0).reshape(ci, -1)
     gxf = np.empty_like(xf)
     gw_t = np.zeros((len(offs) * co, ci), dtype=w.dtype)
-    for a, e, cols in _im2col_chunks(gf, [margin - o for o in offs], lo, hi):
+    for a, e, cols, _ in _stacked_chunks(gf, [margin - o for o in offs], 0, lo, hi, 0):
         np.matmul(wm_t, cols, out=gxf[:, a:e])
         gw_t += cols @ xf[:, a:e].T
     del xf, gf, cols  # free before the crop copy
@@ -179,82 +231,106 @@ def conv_transpose3d_backward(x, w, grad_out, stride=2):
     return gx, gw, grad_out.sum(axis=(1, 2, 3))
 
 
-def _pool_prepare(x, k, stride, padding, pad_value):
-    c, d, h, w = x.shape
+def _pool_taps(x_shape, k, stride, padding):
+    """Output spatial shape and, per spatial axis, the (dst, src) slices of
+    each kernel tap j: the outputs o whose input position stride·o + j -
+    padding lies inside the input, and those positions.  Skipping the
+    others is all that padding contributed."""
     p = int(padding)
-    out = tuple((n + 2 * p - k) // stride + 1 for n in (d, h, w))
-    if any(n <= 0 for n in out):
-        raise ValueError(f"pooling window {k} too large for input {x.shape[1:]}")
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)), constant_values=pad_value) if p else x
-    return xp, out, p
+    out = tuple((n + 2 * p - k) // stride + 1 for n in x_shape[1:])
+    if any(o <= 0 for o in out):
+        raise ValueError(f"pooling window {k} too large for input {x_shape[1:]}")
+    axes = []
+    for n, o in zip(x_shape[1:], out):
+        taps = []
+        for j in range(k):
+            lo = max(0, -((j - p) // stride))
+            hi = max(lo, min(o, (n - 1 - j + p) // stride + 1))
+            start = stride * lo + j - p
+            taps.append((slice(lo, hi), slice(start, start + stride * (hi - lo), stride)))
+        axes.append(taps)
+    return out, axes
 
 
-def _pool_slices(out, k, stride):
-    do, ho, wo = out
-    for kd in range(k):
-        for kh in range(k):
-            for kw in range(k):
-                yield (kd * k + kh) * k + kw, (
-                    slice(None),
-                    slice(kd, kd + (do - 1) * stride + 1, stride),
-                    slice(kh, kh + (ho - 1) * stride + 1, stride),
-                    slice(kw, kw + (wo - 1) * stride + 1, stride))
+def _taps3(axes):
+    """(dst, src) indices of the k³ taps, in scan order (kd, kh, kw)."""
+    for (dd, sd), (dh, sh), (dw, sw) in itertools.product(*axes):
+        yield (slice(None), dd, dh, dw), (slice(None), sd, sh, sw)
+
+
+def _along(axis, sl):
+    return (slice(None),) * axis + (sl,)
+
+
+def maxpool3d_inference(x, k, stride, padding=0):
+    """The y of maxpool3d_forward without the argmax: a running max over
+    the taps of one spatial axis at a time, exact because max does not
+    depend on order."""
+    out, axes = _pool_taps(x.shape, k, stride, padding)
+    for axis, (size, taps) in enumerate(zip(out, axes), start=1):
+        y = np.full(x.shape[:axis] + (size,) + x.shape[axis + 1:], -np.inf, dtype=x.dtype)
+        for dst, src in taps:
+            yd = y[_along(axis, dst)]
+            np.maximum(yd, x[_along(axis, src)], out=yd)
+        x = y
+    return x
 
 
 def maxpool3d_forward(x, k, stride, padding=0):
     """Max pooling; returns (y, argmax tap index) for the backward pass.
 
-    Out-of-bounds positions are -inf so padding never wins; ties go to the
-    first tap in scan order.
+    Out-of-bounds taps never win; ties go to the first tap in scan order,
+    since the taps are visited last to first and each tap that reaches the
+    max overwrites the index.
     """
-    xp, out, _ = _pool_prepare(x, k, stride, padding, -np.inf)
-    y = np.full((x.shape[0],) + out, -np.inf, dtype=x.dtype)
-    arg = np.zeros((x.shape[0],) + out, dtype=np.int8)
-    for tap, sl in _pool_slices(out, k, stride):
-        xs = xp[sl]
-        np.copyto(arg, np.int8(tap), where=xs > y)
-        np.maximum(y, xs, out=y)
+    y = maxpool3d_inference(x, k, stride, padding)
+    _, axes = _pool_taps(x.shape, k, stride, padding)
+    arg = np.zeros(y.shape, dtype=np.int8)
+    for tap, (dst, src) in reversed(list(enumerate(_taps3(axes)))):
+        np.copyto(arg[dst], np.int8(tap), where=x[src] == y[dst])
     return y, arg
 
 
 def maxpool3d_backward(x_shape, arg, grad_out, k, stride, padding=0):
-    c, d, h, w = x_shape
-    p = int(padding)
-    gxp = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
-    out = grad_out.shape[1:]
-    for tap, sl in _pool_slices(out, k, stride):
-        gxp[sl] += np.where(arg == tap, grad_out, 0)
-    return np.ascontiguousarray(gxp[:, p:p + d, p:p + h, p:p + w])
+    _, axes = _pool_taps(x_shape, k, stride, padding)
+    gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    for tap, (dst, src) in enumerate(_taps3(axes)):
+        gx[src] += np.where(arg[dst] == tap, grad_out[dst], 0)
+    return gx
 
 
 def avgpool3d_forward(x, k, stride, padding=0):
     """Average pooling over the in-bounds taps only (padding excluded from
-    the divisor, so a constant input stays constant at the border).
+    the divisor, so a constant input stays constant at the border).  The
+    taps are summed in scan order, as the nested-loop definition does.
 
-    Returns (y, counts) for the backward pass.
+    Returns (y, counts) for the backward pass; counts, the in-bounds taps
+    of each output, is the outer product of the per-axis counts.
     """
-    xp, out, p = _pool_prepare(x, k, stride, padding, 0.0)
-    ones = np.pad(np.ones(x.shape, dtype=x.dtype),
-                  ((0, 0), (p, p), (p, p), (p, p)))
+    out, axes = _pool_taps(x.shape, k, stride, padding)
     y = np.zeros((x.shape[0],) + out, dtype=x.dtype)
-    counts = np.zeros((x.shape[0],) + out, dtype=x.dtype)
-    for _, sl in _pool_slices(out, k, stride):
-        y += xp[sl]
-        counts += ones[sl]
-    return y / counts, counts
+    for dst, src in _taps3(axes):
+        y[dst] += x[src]
+    per_axis = [np.zeros(size, dtype=x.dtype) for size in out]
+    for c, taps in zip(per_axis, axes):
+        for dst, _ in taps:
+            c[dst] += 1
+    cd, ch, cw = per_axis
+    counts = cd[:, None, None] * ch[:, None] * cw
+    y /= counts
+    return y, counts
 
 
 def avgpool3d_backward(x_shape, counts, grad_out, k, stride, padding=0):
-    c, d, h, w = x_shape
-    p = int(padding)
-    gxp = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+    """The adjoint of the tap sum, scattered along one spatial axis at a time."""
+    _, axes = _pool_taps(x_shape, k, stride, padding)
     g = grad_out / counts
-    ones = np.pad(np.ones((c, d, h, w), dtype=grad_out.dtype),
-                  ((0, 0), (p, p), (p, p), (p, p)))
-    out = grad_out.shape[1:]
-    for _, sl in _pool_slices(out, k, stride):
-        gxp[sl] += g * ones[sl]
-    return np.ascontiguousarray(gxp[:, p:p + d, p:p + h, p:p + w])
+    for axis in (3, 2, 1):
+        gx = np.zeros(g.shape[:axis] + (x_shape[axis],) + g.shape[axis + 1:], dtype=g.dtype)
+        for dst, src in axes[axis - 1]:
+            gx[_along(axis, src)] += g[_along(axis, dst)]
+        g = gx
+    return g
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
@@ -300,21 +376,27 @@ def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var, eps=1
 
 
 def batchnorm_backward(cache, grad_out):
-    """Returns (grad_x, grad_gamma, grad_beta)."""
+    """Returns (grad_x, grad_gamma, grad_beta).
+
+    Per channel, grad_x = a·gy + b·x + c with coefficients from Σgy and
+    Σgy·x, so x̂ is never formed.  Both sums accumulate in float64: the
+    float32 products are exact there, and Σgy·x − mean·Σgy then keeps the
+    digits the subtraction cancels.
+    """
     xr, mean, inv_std, gamma, training = cache
     c = grad_out.shape[0]
+    dt = grad_out.dtype
     gy = grad_out.reshape(c, -1)
-    xhat = (xr - mean[:, None]) * inv_std[:, None]
-    ggamma = (gy * xhat).sum(axis=1)
-    gbeta = gy.sum(axis=1)
+    sg = gy.sum(axis=1, dtype=np.float64)
+    mean, inv_std = mean.astype(np.float64), inv_std.astype(np.float64)
+    ggamma = (np.einsum("ij,ij->i", gy, xr, dtype=np.float64) - mean * sg) * inv_std
+    a = gamma * inv_std
+    gx = gy * a.astype(dt)[:, None]
     if training:
-        gxhat = gy * gamma[:, None]
-        gx = (gxhat
-              - gxhat.mean(axis=1, keepdims=True)
-              - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)) * inv_std[:, None]
-    else:
-        gx = gy * (gamma * inv_std)[:, None]
-    return gx.reshape(grad_out.shape).astype(grad_out.dtype), ggamma, gbeta
+        b = -a * inv_std * ggamma / gy.shape[1]
+        gx += xr * b.astype(dt)[:, None]
+        gx += (-a * sg / gy.shape[1] - b * mean).astype(dt)[:, None]
+    return gx.reshape(grad_out.shape), ggamma.astype(dt), sg.astype(dt)
 
 
 def relu_forward(x):
@@ -322,7 +404,7 @@ def relu_forward(x):
 
 
 def relu_backward(mask, grad_out):
-    return np.where(mask, grad_out, 0)
+    return grad_out * mask
 
 
 def sigmoid_forward(x):

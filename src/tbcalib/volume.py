@@ -137,10 +137,6 @@ class LabelMask(_Grid3):
         zz, yy, xx = np.nonzero(self.voxels)
         return np.stack([xx, yy, zz], axis=1)
 
-    def foreground_world(self) -> np.ndarray:
-        """World coordinates (mm) of foreground voxel centers, shape (n, 3)."""
-        return self.world(self.foreground_indices_xyz())
-
 
 @dataclass
 class Cuboid:

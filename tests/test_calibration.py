@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -457,7 +458,7 @@ def test_report_json_roundtrip():
                                 p1=[1.0, 2.0, 3.0], p2=[4.0, 5.0, 6.0],
                                 rms_mm=0.2, angles_deg=[1.0, 2.0, 3.0],
                                 rank="Good", slice_gap=0.5, mirror_dsc=0.7)
-    back = cal.CalibrationReport.from_json(rep.to_json())
+    back = cal.CalibrationReport(**json.loads(rep.to_json()))
     assert back == rep
 
 

@@ -113,7 +113,8 @@ ORACLE_CASES = [
     (1, 4, 7, 3, 1, 1, 0),
     (3, 2, 9, 3, 2, 1, 1),
     (2, 3, 11, 3, 2, 2, 1),
-    (8, 6, 26, 3, 1, 1, 1),  # flat length spans several im2col chunks
+    (8, 6, 26, 3, 1, 1, 1),  # flat length spans several full-im2col chunks
+    (8, 6, 40, 3, 1, 1, 1),  # ... and several depth-stacked chunks
 ]
 
 
@@ -139,10 +140,25 @@ def test_conv_matches_per_tap_oracle(ci, co, side, k, stride, dilation, padding,
 
 
 def test_oracle_cases_cross_an_im2col_chunk_boundary():
-    """Forward stacks ci, backward co channels per tap; at least one oracle
-    case must overflow the buffer on both sides, even in float32."""
-    assert any(min(ci, co) * k ** 3 * side ** 3 * 4 > ops.COLS_BYTES
-               for ci, co, side, k, *_ in ORACLE_CASES)
+    """A chunk of n flat positions costs rows·(n + span) elements of the
+    COLS_BYTES budget.  The forward stacks k·ci rows and writes k²·co
+    partial rows, with span the largest in-plane shift, when (k²-1)·ci >
+    2k·co, and otherwise k³·ci rows with no span; the backward stacks k³·co
+    rows.  At least one oracle case must need two chunks on both sides,
+    even in float32."""
+    def crosses(ci, co, side, k, stride, dilation, padding):
+        p = side + 2 * padding
+        span = dilation * (k - 1) * (p + 1)
+        if (k * k - 1) * ci > 2 * k * co:
+            fwd = ops.COLS_BYTES // ((k * ci + k * k * co) * 4) - span
+        else:
+            fwd = ops.COLS_BYTES // (k ** 3 * ci * 4)
+        fwd_flat = p ** 3 - dilation * (k - 1) * p * p - span
+        bwd = ops.COLS_BYTES // (k ** 3 * co * 4)
+        bwd_flat = (side - 1) * (p * p + p + 1) + 1
+        return fwd_flat > fwd and bwd_flat > bwd
+
+    assert any(crosses(*case) for case in ORACLE_CASES)
 
 
 def test_conv_peak_allocation_is_bounded_by_cols_budget():
@@ -388,6 +404,82 @@ def test_pool_gradients():
         gavg = ops.avgpool3d_backward(x.shape, counts, r, k, stride, padding)
         assert rel_err(gmax, numeric_grad(loss_max, x)) < 1e-6
         assert rel_err(gavg, numeric_grad(loss_avg, x)) < 1e-6
+
+
+def per_tap_pool(x, k, stride, padding):
+    """Reference pooling over a padded copy, one strided slice per tap in
+    scan order: (max y, argmax tap, avg y, counts)."""
+    p = int(padding)
+    out = tuple((n + 2 * p - k) // stride + 1 for n in x.shape[1:])
+    pads = ((0, 0), (p, p), (p, p), (p, p))
+    xmax = np.pad(x, pads, constant_values=-np.inf)
+    xsum = np.pad(x, pads)
+    ones = np.pad(np.ones(x.shape, dtype=x.dtype), pads)
+    ymax = np.full((x.shape[0],) + out, -np.inf, dtype=x.dtype)
+    arg = np.zeros(ymax.shape, dtype=np.int8)
+    ysum = np.zeros(ymax.shape, dtype=x.dtype)
+    counts = np.zeros(ymax.shape, dtype=x.dtype)
+    for tap, sl in enumerate(_pool_tap_slices(out, k, stride)):
+        np.copyto(arg, np.int8(tap), where=xmax[sl] > ymax)
+        np.maximum(ymax, xmax[sl], out=ymax)
+        ysum += xsum[sl]
+        counts += ones[sl]
+    return ymax, arg, ysum / counts, counts
+
+
+def _pool_tap_slices(out, k, stride):
+    for kd, kh, kw in np.ndindex(k, k, k):
+        yield (slice(None),) + tuple(slice(j, j + (n - 1) * stride + 1, stride)
+                                     for j, n in zip((kd, kh, kw), out))
+
+
+def per_tap_pool_backward(x_shape, arg, counts, g, k, stride, padding):
+    """Reference (max, avg) input gradients, scattered one tap at a time."""
+    p = int(padding)
+    c, d, h, w = x_shape
+    gmax = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=g.dtype)
+    gavg = np.zeros_like(gmax)
+    for tap, sl in enumerate(_pool_tap_slices(g.shape[1:], k, stride)):
+        gmax[sl] += np.where(arg == tap, g, 0)
+        gavg[sl] += g / counts
+    crop = (slice(None), slice(p, p + d), slice(p, p + h), slice(p, p + w))
+    return gmax[crop], gavg[crop]
+
+
+def tie_heavy_inputs(rng, shape, dtype):
+    """Gaussian values; ReLU output with whole zero blocks; values rounded
+    to a coarse grid, so that many windows hold tied maxima."""
+    relu = np.maximum(rng.normal(size=shape), 0)
+    relu[:, : shape[1] // 2, : shape[2] // 2] = 0
+    quantised = np.round(rng.normal(size=shape) * 2) / 2
+    return [a.astype(dtype) for a in (rng.normal(size=shape), relu, quantised)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0)])
+@pytest.mark.parametrize("shape", [(3, 8, 6, 10), (2, 7, 9, 5)])
+def test_pooling_matches_per_tap_oracle(shape, k, stride, padding, dtype):
+    """Forward outputs, argmax and max-pool gradient equal the per-tap
+    reference exactly (a max over tied +0 and -0 may keep either sign,
+    which compare equal).  The separable avg-pool gradient sums in another
+    order, so it matches to 1e-6 of the largest reference entry."""
+    rng = np.random.default_rng(15)
+    for x in tie_heavy_inputs(rng, shape, dtype):
+        ref_max, ref_arg, ref_avg, ref_counts = per_tap_pool(x, k, stride, padding)
+        ymax, arg = ops.maxpool3d_forward(x, k, stride, padding)
+        yavg, counts = ops.avgpool3d_forward(x, k, stride, padding)
+        for got, want in ((ymax, ref_max), (arg, ref_arg), (yavg, ref_avg),
+                          (ops.maxpool3d_inference(x, k, stride, padding), ymax)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        g = rng.normal(size=ymax.shape).astype(dtype)
+        ref_gmax, ref_gavg = per_tap_pool_backward(x.shape, ref_arg, ref_counts, g,
+                                                   k, stride, padding)
+        np.testing.assert_array_equal(
+            ops.maxpool3d_backward(x.shape, arg, g, k, stride, padding), ref_gmax)
+        np.testing.assert_allclose(
+            ops.avgpool3d_backward(x.shape, counts, g, k, stride, padding), ref_gavg,
+            rtol=1e-6, atol=1e-6 * np.abs(ref_gavg).max())
 
 
 # --- batch norm ------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_mask_foreground_in_z_slab():
     # canonical canals lie in z = 0: |z| of any foreground center <= r_c
     spec = small_spec()
     _, mask, _ = generate_phantom(spec)
-    w = mask.foreground_world()
+    w = mask.world(mask.foreground_indices_xyz())
     assert np.abs(w[:, 2]).max() <= spec.tube_radius
 
 
@@ -178,7 +178,7 @@ def test_skewed_phantom_matches_transformed_geometry():
     spec = small_spec(dims=(160, 80, 64), skew=skew)
     _, mask, pose = generate_phantom(spec)
     np.testing.assert_array_equal(pose.rotation, skew.rotation)
-    q = skew.inverse().apply(mask.foreground_world())
+    q = skew.inverse().apply(mask.world(mask.foreground_indices_xyz()))
     from tbcalib.phantom import _canal_distance_sq
     d2 = _canal_distance_sq(q, spec)
     assert d2.max() <= spec.tube_radius ** 2 + 1e-9
