@@ -5,10 +5,15 @@ anchor points, iterate the mid-sagittal axis to a fixed point, fit the canal
 plane by total least squares, assemble an orthonormal frame, and resample
 the volume onto an isotropic grid aligned with that frame.
 
-Resampling is one affine map, applied by `ndimage.affine_transform`.  Mask
-work is confined to the foreground's bounding box: each mask is labelled once
-on that crop (`segment.largest_components`), and resampled only where it can
-land.
+Resampling is one affine map, applied by `ndimage.affine_transform` only
+where the input lands: the output starts as fill, and each slab of
+SLAB_PLANES output planes samples the (y, x) box that the source box's image
+covers within it.  A volume's source box is its whole grid, a mask's is its
+foreground's bounding box, so a mask is resampled only where it can land.
+The slabs run on a thread pool with one worker per CPU this process may use;
+their boundaries do not depend on the worker count, so neither does the
+output.  Mask work is confined to the foreground's bounding box: each mask is
+labelled once on that crop (`segment.largest_components`), and ranked on it.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .losses import dsc_metric
+from .losses import dice_from_counts
 from .phantom import RigidPose
 from .segment import MIN_COMPONENT_VOXELS, largest_components
 from .volume import LabelMask, Volume
@@ -33,6 +40,10 @@ BBOX_PAD_VOXELS = 2
 RANK_MIRROR_DSC = 0.8
 RANK_SLICE_GAP = 1.0
 FRAME_TOL = 1e-9
+# Output z planes per affine_transform call in resample.  Thinner slabs fit
+# the rotated input more tightly but cost more calls; 8 planes measured
+# fastest on the default 160x96x96 calib grids.
+SLAB_PLANES = 8
 
 
 class CalibrationError(Exception):
@@ -236,6 +247,40 @@ def _box_corners(lo, hi) -> np.ndarray:
     return np.array(list(itertools.product(*zip(lo, hi))), dtype=np.float64)
 
 
+# The 12 edges of a _box_corners box: corner pairs whose indices differ in one bit.
+_BOX_EDGES = np.array([(i, j) for i, j in itertools.combinations(range(8), 2)
+                       if bin(i ^ j).count("1") == 1])
+
+
+def _slab_windows(dst, out_dims):
+    """Output index windows (z, y, x slices) that hold every output voxel in
+    the parallelepiped with corners `dst` (8, 3; output x, y, z indices).
+
+    The output's z range is cut into slabs of SLAB_PLANES planes.  A slab's
+    window is the (y, x) bounding box of the parallelepiped cut to the slab
+    widened by one plane on each side, padded by 1 and clipped; that cut's
+    vertices are the corners inside it and the edges' crossings of its two
+    planes.  Slabs that the parallelepiped misses get no window."""
+    nx, ny, nz = out_dims
+    p, q = dst[_BOX_EDGES[:, 0]], dst[_BOX_EDGES[:, 1]]
+    crossing = p[:, 2] != q[:, 2]
+    p, d = p[crossing], q[crossing] - p[crossing]
+    windows = []
+    for z0 in range(0, nz, SLAB_PLANES):
+        z1 = min(z0 + SLAB_PLANES, nz)
+        planes = np.array([z0 - 1.0, z1])  # the slab's planes z0..z1-1, widened by one
+        t = (planes[:, None] - p[:, 2]) / d[:, 2]  # (plane, edge): where the edge meets it
+        cuts = p[:, :2] + t[..., None] * d[:, :2]
+        inside = (dst[:, 2] >= planes[0]) & (dst[:, 2] <= planes[1])
+        pts = np.concatenate([dst[inside, :2], cuts[(t >= 0) & (t <= 1)]])
+        if not len(pts):
+            continue
+        lo = np.clip(np.floor(pts.min(axis=0)).astype(int) - 1, 0, [nx - 1, ny - 1])
+        hi = np.clip(np.ceil(pts.max(axis=0)).astype(int) + 1, 0, [nx - 1, ny - 1])
+        windows.append((slice(z0, z1), slice(lo[1], hi[1] + 1), slice(lo[0], hi[0] + 1)))
+    return windows
+
+
 def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
              pad_voxels: int = BBOX_PAD_VOXELS):
     """Resample a Volume (trilinear) or LabelMask (nearest) onto an isotropic
@@ -245,15 +290,21 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
     transformed bounding box of the input, padded by `pad_voxels` per side;
     out-of-field intensities take the input minimum (air), labels take 0.
 
-    Output index i (x, y, z) samples input index A @ i + c: one affine map,
-    applied by one `ndimage.affine_transform` call.  A mask voxel can be 1
-    only where its nearest source index lies in the foreground's bounding
-    box, so a mask is sampled only on the output box that box maps to.
+    Output index i (x, y, z) samples input index A @ i + c, one affine map.
+    Only samples inside the source box can differ from the fill: the whole
+    grid [0, n-1] for a volume, the foreground's bounding box widened by half
+    a voxel for a mask (nearest rounds nothing outside it into it).  The
+    output is filled once, then each slab of SLAB_PLANES output planes gets
+    one `ndimage.affine_transform` call on the window that the source box's
+    image covers within it (`_slab_windows`), with offset c + A @ (window
+    start).  The calls run on one thread per CPU this process may use, and
+    inline when that is one; the windows do not depend on that count.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     nx, ny, nz = vol.dims
-    corners_cal = pose.apply(vol.world(_box_corners((0, 0, 0), (nx - 1, ny - 1, nz - 1))))
+    src = _box_corners((0, 0, 0), (nx - 1, ny - 1, nz - 1))  # a volume's source box
+    corners_cal = pose.apply(vol.world(src))
     lo = corners_cal.min(axis=0) - pad_voxels * spacing
     hi = corners_cal.max(axis=0) + pad_voxels * spacing
     out_dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int) + 1, 1)
@@ -262,33 +313,45 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
     a = inv.rotation * spacing / vol.spacing[:, None]
     c = (inv.rotation @ lo + inv.translation - vol.origin) / vol.spacing
     is_mask = isinstance(vol, LabelMask)
-    out = np.zeros(out_dims[::-1], dtype=vol.voxels.dtype)
-    o_lo, o_hi = np.zeros(3, dtype=int), out_dims - 1
-    if is_mask:
-        # An empty mask samples zeros anywhere: take the box of voxel 0.
-        found = ndimage.find_objects(vol.voxels) or [(slice(0, 1),) * 3]
-        src_box = found[0][::-1]  # (x, y, z), widened by half a voxel for rounding
-        src = _box_corners([b.start - 0.5 for b in src_box], [b.stop - 0.5 for b in src_box])
-        dst = np.linalg.solve(a, (src - c).T)
-        o_lo = np.clip(np.floor(dst.min(axis=1)).astype(int) - 1, 0, out_dims - 1)
-        o_hi = np.clip(np.ceil(dst.max(axis=1)).astype(int) + 1, 0, out_dims - 1)
-    sub = tuple(slice(l, h + 1) for l, h in zip(o_lo[::-1], o_hi[::-1]))
-    ndimage.affine_transform(vol.voxels, a[::-1, ::-1], (c + a @ o_lo)[::-1], output=out[sub],
-                             order=0 if is_mask else 1, mode="constant",
-                             cval=0 if is_mask else float(vol.voxels.min()))
     cls = LabelMask if is_mask else Volume
+    fill = 0 if is_mask else float(vol.voxels.min())
+    out = np.full(out_dims[::-1], fill, dtype=vol.voxels.dtype)
+    if is_mask:
+        found = ndimage.find_objects(vol.voxels)
+        if not found:  # an empty mask samples zeros anywhere
+            return cls(voxels=out, spacing=(spacing,) * 3, origin=lo)
+        src_box = found[0][::-1]  # (x, y, z)
+        src = _box_corners([b.start - 0.5 for b in src_box], [b.stop - 0.5 for b in src_box])
+    windows = _slab_windows(np.linalg.solve(a, (src - c).T).T, out_dims)
+    offsets = [(c + a @ [w[2].start, w[1].start, w[0].start])[::-1] for w in windows]
+
+    def sample(window, offset):  # runs on worker threads: affine_transform releases the GIL
+        ndimage.affine_transform(vol.voxels, a[::-1, ::-1], offset, output=out[window],
+                                 order=0 if is_mask else 1, mode="constant", cval=fill)
+
+    # The CPUs this process may use; sched_getaffinity exists only on some platforms.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(windows))
+    if workers <= 1:
+        for window, offset in zip(windows, offsets):
+            sample(window, offset)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(sample, windows, offsets))  # re-raises a worker's exception
     return cls(voxels=out, spacing=(spacing,) * 3, origin=lo)
+
+
+def _mirror_index(mask: LabelMask) -> int:
+    """m such that x index i mirrors to m - i about world x = 0: world
+    x_i = origin_x + i*sx maps to -x_i, i.e. index (-2*origin_x/sx) - i."""
+    return int(np.rint(-2.0 * mask.origin[0] / mask.spacing[0]))
 
 
 def mirror_mask_x(mask: LabelMask) -> LabelMask:
     """Reflect a mask about the calibrated mid-sagittal plane (world x = 0)."""
-    nz, ny, nx = mask.voxels.shape
-    # Index of the mirror image of voxel i: world x_i = origin_x + i*sx
-    # maps to -x_i, i.e. index (-2*origin_x/sx) - i.
-    m = -2.0 * mask.origin[0] / mask.spacing[0]
-    mi = np.rint(m).astype(int)
+    nx = mask.voxels.shape[2]
     out = np.zeros_like(mask.voxels)
-    src = mi - np.arange(nx)
+    src = _mirror_index(mask) - np.arange(nx)
     valid = (src >= 0) & (src < nx)
     out[:, :, valid] = mask.voxels[:, :, src[valid]]
     return LabelMask(voxels=out, spacing=mask.spacing.copy(), origin=mask.origin.copy())
@@ -301,6 +364,11 @@ def rank_result(calibrated_mask: LabelMask):
     centroid axial gap <= 1 slice, and mirror-DSC >= 0.8; Good requires only
     the range overlap; anything else (including a failed component split)
     is Failed.  Returns (rank, slice_gap, mirror_dsc).
+
+    Everything is counted on the foreground's bounding box: mirror-DSC is the
+    Dice of the mask A and `mirror_mask_x`(A), from |A|, |M(A)| (the voxels of
+    A whose mirror lies on the grid) and |A n M(A)| (the voxels of A whose
+    mirror lies in the box and in A).
     """
     labeled, keep, box = largest_components(calibrated_mask.voxels)
     if len(keep) < 2:
@@ -308,7 +376,13 @@ def rank_result(calibrated_mask: LabelMask):
     zs = [np.nonzero(labeled == lab)[0] + box[0].start for lab in keep]
     overlap = zs[0].min() <= zs[1].max() and zs[1].min() <= zs[0].max()
     gap = float(abs(zs[0].mean() - zs[1].mean()))
-    mirror = dsc_metric(calibrated_mask, mirror_mask_x(calibrated_mask))
+    crop = calibrated_mask.voxels[box] != 0
+    x0, x1 = box[2].start, box[2].stop
+    src = _mirror_index(calibrated_mask) - np.arange(x0, x1)
+    on_grid = (src >= 0) & (src < calibrated_mask.voxels.shape[2])
+    in_box = (src >= x0) & (src < x1)
+    mirror = dice_from_counts(int((crop[:, :, in_box] & crop[:, :, src[in_box] - x0]).sum()),
+                              int(crop.sum()), int(crop[:, :, on_grid].sum()))
     if not overlap:
         return "Failed", gap, mirror
     if gap <= RANK_SLICE_GAP and mirror >= RANK_MIRROR_DSC:

@@ -106,7 +106,11 @@ def dsc_metric(a, b) -> float:
         raise ValueError(f"shape mismatch {va.shape} vs {vb.shape}")
     va = va.astype(bool)
     vb = vb.astype(bool)
-    na, nb = int(va.sum()), int(vb.sum())
-    if na + nb == 0:
+    return dice_from_counts(int((va & vb).sum()), int(va.sum()), int(vb.sum()))
+
+
+def dice_from_counts(n_both: int, n_a: int, n_b: int) -> float:
+    """dsc_metric from the counts |A n B|, |A| and |B|."""
+    if n_a + n_b == 0:
         return 1.0
-    return 2.0 * int((va & vb).sum()) / (na + nb)
+    return 2.0 * n_both / (n_a + n_b)

@@ -92,7 +92,11 @@ def _flat_padded(x, padding, k, dilation):
     shape, the flat shift of each depth tap kd and of each in-plane tap
     (kh, kw) in scan order; tap (kd, kh, kw) is the sum of the two."""
     pd, ph, pw = _triple(padding)
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw))) if pd or ph or pw else x
+    xp = x
+    if pd or ph or pw:  # one interior copy: np.pad writes each face in its own pass
+        c, d, h, w = x.shape
+        xp = np.zeros((c, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xp[:, pd:pd + d, ph:ph + h, pw:pw + w] = x
     _, dp, hp, wp = xp.shape
     depth = [dilation * kd * hp * wp for kd in range(k)]
     plane = [dilation * (kh * wp + kw) for kh, kw in np.ndindex(k, k)]

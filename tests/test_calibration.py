@@ -107,6 +107,9 @@ def _box(vox, lo, hi):
     vox[lo[2]:hi[2], lo[1]:hi[1], lo[0]:hi[0]] = 1
 
 
+LABELLING_ORIGIN_X = -10.0
+
+
 def _labelling_cases():
     cases = {}
     vox = np.zeros((40, 40, 40), dtype=np.uint8)
@@ -134,6 +137,20 @@ def _labelling_cases():
     # Thresholded noise: many components, with ties among the small ones.
     vol, _, _ = small_phantom(noise_amplitude=500.0, seed=5)
     cases["noisy_band"] = ((vol.voxels >= 300.0) & (vol.voxels <= 900.0)).astype(np.uint8)
+    cases = {name: (vox, LABELLING_ORIGIN_X) for name, vox in cases.items()}
+    # Origins whose mirror index -2 * origin_x / 0.5 is not an integer, or
+    # sends part or all of the mask's mirror off the grid.
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (5, 12, 14), (9, 16, 18))
+    _box(vox, (30, 13, 14), (35, 16, 19))
+    cases["mirror_fractional"] = (vox, -9.65)       # mirror index 38.6
+    cases["mirror_half_up"] = (vox, -9.875)         # 39.5, rounded to even
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (3, 10, 12), (9, 15, 17))
+    _box(vox, (12, 11, 12), (22, 15, 16))           # straddles the mirror's grid edge
+    _box(vox, (26, 20, 10), (33, 24, 14))           # mirrors entirely off the grid
+    cases["mirror_partly_off_grid"] = (vox, -4.15)  # 16.6
+    cases["mirror_off_grid"] = (vox, 2.0)           # -8: no mirror on the grid
     return cases
 
 
@@ -142,8 +159,8 @@ LABELLING_CASES = _labelling_cases()
 
 @pytest.mark.parametrize("name", sorted(LABELLING_CASES))
 def test_labelling_matches_full_grid_oracle(name):
-    vox = LABELLING_CASES[name]
-    mask = LabelMask(voxels=vox, spacing=(0.5, 0.6, 0.7), origin=(-10.0, -12.0, -7.0))
+    vox, origin_x = LABELLING_CASES[name]
+    mask = LabelMask(voxels=vox, spacing=(0.5, 0.6, 0.7), origin=(origin_x, -12.0, -7.0))
     for n_keep in (1, 2, 3, 6):
         for min_voxels in (1, MIN_COMPONENT_VOXELS):
             labeled, keep = _full_grid_top(vox, n_keep, min_voxels)
@@ -367,6 +384,50 @@ def test_resample_matches_per_slice_oracle(pose_id):
         if oblique or name != "grid_edge":
             np.testing.assert_array_equal(out.voxels, ref, err_msg=name)
         assert (out.foreground_count() == 0) == (name == "empty")
+
+
+def _source_outside(vol, pose, out):
+    """Output voxels whose source index lies outside [0, n-1]^3 (by more
+    than 1e-6, clear of the last-bit edge cases)."""
+    z, y, x = np.indices(out.voxels.shape)
+    q = out.origin + np.stack([x, y, z], axis=-1) * out.spacing
+    inv = pose.inverse()
+    idx = (q @ inv.rotation.T + inv.translation - vol.origin) / vol.spacing
+    return ((idx < -1e-6) | (idx > np.array(vol.dims) - 1 + 1e-6)).any(axis=-1)
+
+
+@pytest.mark.parametrize("planes", [1, 5])
+def test_resample_slabs_and_workers_are_harmless(monkeypatch, planes):
+    monkeypatch.setattr(cal, "SLAB_PLANES", planes)
+    vol, masks = _oracle_inputs()
+    inputs = {"volume": vol, **masks}
+    spanning = 0
+    for pose_id, pose in enumerate(OBLIQUE_POSES):
+        default = {name: cal.resample(v, pose, spacing=0.5) for name, v in inputs.items()}
+        for cpus in (1, 3):
+            with monkeypatch.context() as m:
+                m.setattr(cal.os, "sched_getaffinity", lambda _pid, n=cpus: set(range(n)))
+                for name, v in inputs.items():
+                    np.testing.assert_array_equal(cal.resample(v, pose, spacing=0.5).voxels,
+                                                  default[name].voxels,
+                                                  err_msg=f"{name}, {cpus} CPUs")
+        for name, v in inputs.items():
+            out = default[name]
+            fill = 0 if name in masks else vol.voxels.min()
+            assert (out.voxels[_source_outside(v, pose, out)] == fill).all(), name
+            ref, lo = _reference_resample(v, pose, spacing=0.5)
+            np.testing.assert_array_equal(out.origin, lo)
+            if pose_id >= 3:  # axis-aligned: see test_resample_matches_per_slice_oracle
+                continue
+            if name == "volume":
+                np.testing.assert_allclose(out.voxels, ref, rtol=1e-5,
+                                           atol=1e-5 * np.abs(ref).max())
+            else:
+                np.testing.assert_array_equal(out.voxels, ref, err_msg=name)
+                zs = np.nonzero(out.voxels)[0]
+                spanning += name != "empty" and zs.min() // planes < zs.max() // planes
+    assert spanning > 0  # some mask's foreground crosses a slab boundary
+
 
 def test_resample_rejects_bad_spacing():
     m = blob_mask([(10, 20, 20), (30, 20, 20)])
