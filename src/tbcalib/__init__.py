@@ -1,8 +1,7 @@
 """tbcalib: temporal-bone CT canal segmentation and geometric calibration."""
 
-from .calibration import (CalibrationError, CalibrationFrame, CalibrationReport,
-                          InsufficientAnchorsError, build_frame, calibrate,
-                          estimate_transform, fit_lsc_plane, rank_result,
+from .calibration import (CalibrationError, CalibrationReport, InsufficientAnchorsError,
+                          build_frame, calibrate, fit_lsc_plane, rank_result,
                           refine_sagittal, resample, split_components)
 from .losses import class_weight, dsc_loss, dsc_metric, joint_loss, weighted_ce
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,

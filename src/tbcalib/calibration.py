@@ -2,8 +2,8 @@
 
 From a binary canal mask: split left/right components, find the outermost
 anchor points, iterate the mid-sagittal axis to a fixed point, fit the canal
-plane by total least squares, assemble an orthonormal frame, and resample
-the volume onto an isotropic grid aligned with that frame.
+plane by total least squares, return the orthonormal frame as the world ->
+calibrated `RigidPose`, and resample onto an isotropic grid in that frame.
 
 Resampling is one affine map, applied by `ndimage.affine_transform` only
 where the input lands: the output starts as fill, and each slab of
@@ -30,7 +30,7 @@ from scipy import ndimage
 
 from .losses import dice_from_counts
 from .phantom import RigidPose
-from .segment import MIN_COMPONENT_VOXELS, largest_components
+from .segment import MIN_COMPONENT_VOXELS, foreground_box, largest_components
 from .volume import LabelMask, Volume
 
 DEFAULT_L0_MM = 0.1
@@ -39,7 +39,6 @@ DEFAULT_OUT_SPACING = 0.5
 BBOX_PAD_VOXELS = 2
 RANK_MIRROR_DSC = 0.8
 RANK_SLICE_GAP = 1.0
-FRAME_TOL = 1e-9
 # Output z planes per affine_transform call in resample.  Thinner slabs fit
 # the rotated input more tightly but cost more calls; 8 planes measured
 # fastest on the default 160x96x96 calib grids.
@@ -52,34 +51,6 @@ class CalibrationError(Exception):
 
 class InsufficientAnchorsError(CalibrationError):
     """Fewer than two usable canal components in the mask."""
-
-
-@dataclass
-class CalibrationFrame:
-    """Origin and right-handed orthonormal axes of the calibrated system.
-
-    x_axis is the mid-sagittal normal (anchor axis, left to right), z_axis
-    the canal-plane normal (toward superior), y_axis the coronal normal.
-    """
-
-    origin: np.ndarray
-    x_axis: np.ndarray
-    y_axis: np.ndarray
-    z_axis: np.ndarray
-    p1: np.ndarray | None = None  # anchors kept as metadata
-    p2: np.ndarray | None = None
-
-    def __post_init__(self):
-        axes = np.column_stack([self.x_axis, self.y_axis, self.z_axis])
-        if np.abs(axes.T @ axes - np.eye(3)).max() > FRAME_TOL:
-            raise CalibrationError("frame axes not orthonormal")
-        if np.linalg.det(axes) < 0:
-            raise CalibrationError("frame is left-handed")
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """Columns are (x_axis, y_axis, z_axis)."""
-        return np.column_stack([self.x_axis, self.y_axis, self.z_axis])
 
 
 @dataclass
@@ -210,19 +181,20 @@ def fit_lsc_plane(points: np.ndarray, x_axis: np.ndarray):
     return normal, rms
 
 
-def build_frame(p0, x_axis, z_axis, p1=None, p2=None) -> CalibrationFrame:
-    """Complete the right-handed frame with y = z cross x."""
+def build_frame(p0, x_axis, z_axis) -> RigidPose:
+    """The calibrated frame (x, y = z cross x, z) as the world -> calibrated
+    pose q = R^T (p - P0): the pose's rotation rows are the frame's axes."""
     x = np.asarray(x_axis, dtype=np.float64)
     z = np.asarray(z_axis, dtype=np.float64)
     if abs(x @ z) > 1e-6:
         raise CalibrationError(f"axes not orthogonal (dot {x @ z:.2e})")
-    # Re-orthogonalize exactly so the frame meets the 1e-9 invariant.
+    # Re-orthogonalize exactly so the frame meets RigidPose's 1e-9 check.
     x = x / np.linalg.norm(x)
     z = z - (z @ x) * x
     z /= np.linalg.norm(z)
-    y = np.cross(z, x)
-    return CalibrationFrame(origin=np.asarray(p0, dtype=np.float64),
-                            x_axis=x, y_axis=y, z_axis=z, p1=p1, p2=p2)
+    # A transposed column stack: a contiguous np.stack rounds -rt @ p0 differently.
+    rt = np.column_stack([x, np.cross(z, x), z]).T
+    return RigidPose(rt, -rt @ np.asarray(p0, dtype=np.float64))
 
 
 def decomposition_angles_deg(x_axis: np.ndarray) -> list:
@@ -234,12 +206,6 @@ def decomposition_angles_deg(x_axis: np.ndarray) -> list:
         math.degrees(math.atan2(z, x)),  # xz plane, vs +x
         math.degrees(math.atan2(z, y)) if (abs(y) + abs(z)) > 0 else 0.0,  # yz plane, vs +y
     ]
-
-
-def estimate_transform(frame: CalibrationFrame) -> RigidPose:
-    """Rigid world -> calibrated map q = R^T (p - P0), R columns = frame axes."""
-    rt = frame.rotation.T
-    return RigidPose(rt, -rt @ frame.origin)
 
 
 def _box_corners(lo, hi) -> np.ndarray:
@@ -317,10 +283,10 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
     fill = 0 if is_mask else float(vol.voxels.min())
     out = np.full(out_dims[::-1], fill, dtype=vol.voxels.dtype)
     if is_mask:
-        found = ndimage.find_objects(vol.voxels)
-        if not found:  # an empty mask samples zeros anywhere
+        box = foreground_box(vol.voxels)
+        if box is None:  # an empty mask samples zeros anywhere
             return cls(voxels=out, spacing=(spacing,) * 3, origin=lo)
-        src_box = found[0][::-1]  # (x, y, z)
+        src_box = box[::-1]  # (x, y, z)
         src = _box_corners([b.start - 0.5 for b in src_box], [b.stop - 0.5 for b in src_box])
     windows = _slab_windows(np.linalg.solve(a, (src - c).T).T, out_dims)
     offsets = [(c + a @ [w[2].start, w[1].start, w[0].start])[::-1] for w in windows]
@@ -393,7 +359,7 @@ def rank_result(calibrated_mask: LabelMask):
 def calibrate(vol: Volume, mask: LabelMask,
               l0: float = DEFAULT_L0_MM, max_iter: int = DEFAULT_MAX_ITER,
               spacing: float = DEFAULT_OUT_SPACING):
-    """Full pipeline: split -> refine -> fit -> frame -> transform -> resample.
+    """Full pipeline: split -> refine -> fit -> frame (the pose) -> resample.
 
     Returns (calibrated volume, calibrated mask, CalibrationReport, pose)
     where pose maps world to calibrated coordinates.  On anchor failure the
@@ -414,13 +380,9 @@ def calibrate(vol: Volume, mask: LabelMask,
     all_points = np.concatenate([left, right], axis=0)
     z_axis, rms = fit_lsc_plane(all_points, x_axis)
     report.rms_mm = rms
-    frame = build_frame(p0, x_axis, z_axis, p1=info["p1"], p2=info["p2"])
-    report.angles_deg = decomposition_angles_deg(frame.x_axis)
-    pose = estimate_transform(frame)
+    pose = build_frame(p0, x_axis, z_axis)
+    report.angles_deg = decomposition_angles_deg(pose.rotation[0])
     cal_vol = resample(vol, pose, spacing=spacing)
     cal_mask = resample(mask, pose, spacing=spacing)
-    rank, gap, mirror = rank_result(cal_mask)
-    report.rank = rank
-    report.slice_gap = gap
-    report.mirror_dsc = mirror
+    report.rank, report.slice_gap, report.mirror_dsc = rank_result(cal_mask)
     return cal_vol, cal_mask, report, pose

@@ -190,16 +190,38 @@ class ConvBnRelu(Layer):
         return {"conv": self.conv, "bn": self.bn}
 
 
+class FusionModule(Layer):
+    """Parallel branches on one input whose outputs, of equal channel count,
+    are concatenated and fused by the `reduce` layer.  Backward splits the
+    reduce gradient into equal parts and sums the branch gradients in order."""
+
+    def __init__(self, branches, reduce):
+        super().__init__()
+        self.branches = branches
+        self.reduce = reduce
+
+    def forward(self, x, training):
+        cat = np.concatenate([b.forward(x, training) for b in self.branches], axis=0)
+        return self.reduce.forward(cat, training)
+
+    def backward(self, gy):
+        parts = np.split(self.reduce.backward(gy), len(self.branches))
+        gx = None
+        for branch, g in zip(self.branches, parts):
+            gb = branch.backward(np.ascontiguousarray(g))
+            gx = gb if gx is None else gx + gb
+        return gx
+
+    def children(self):
+        return {**{f"branch{i + 1}": b for i, b in enumerate(self.branches)}, "reduce": self.reduce}
+
+
 def named_layers(obj, prefix=""):
-    """Depth-first (name, Layer) pairs: a Layer without .children() is a
-    leaf; anything with .children() contributes itself if it holds params,
-    then its children under dotted names."""
-    out = []
-    if isinstance(obj, Layer) and not hasattr(obj, "children"):
+    """Depth-first (name, Layer) pairs of the leaves, the objects without
+    .children(); a composite contributes its children under dotted names."""
+    if not hasattr(obj, "children"):
         return [(prefix, obj)]
-    children = obj.children() if hasattr(obj, "children") else {}
-    if isinstance(obj, Layer) and obj.params:
-        out.append((prefix, obj))
-    for name, child in children.items():
+    out = []
+    for name, child in obj.children().items():
         out.extend(named_layers(child, f"{prefix}.{name}" if prefix else name))
     return out

@@ -2,6 +2,9 @@
 convolution module, multi-scale/multi-mode pooling, decoder with transposed
 convolutions and skip connections, and two deep-supervision heads.
 
+The encoder's two feature-fusion modules are one `FusionModule` layer in two
+configurations: dilated convolutions and multi-mode poolings.
+
 Spatial ladder for a 48^3 input: 48 -> 24 -> 12 -> 24 -> 48.
 """
 
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..losses import DEFAULT_LAMBDAS
-from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, Layer,
-                     MaxPool3d, Sigmoid, named_layers)
+from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, FusionModule,
+                     Layer, MaxPool3d, Sigmoid, named_layers)
 
 
 @dataclass
@@ -46,10 +49,6 @@ class NetworkConfig:
         return 22 + 3 * self.dense_layers
 
 
-def _split(arr, sizes, axis=0):
-    return np.split(arr, np.cumsum(sizes)[:-1], axis=axis)
-
-
 class DenseBlock(Layer):
     """n layers of 3^3 conv + BN + ReLU, each appending its g output
     channels to the running feature stack; a 1^3 conv reduces the stack
@@ -78,84 +77,45 @@ class DenseBlock(Layer):
         return self.reduce.forward(stack, training)
 
     def backward(self, gy):
-        sizes = [self.in_ch] + [self.growth] * len(self.layers)
-        gfeats = [g.copy() for g in _split(self.reduce.backward(gy), sizes)]
+        # The stack's channel offsets of features 1..L (feature 0 is the input).
+        bounds = self.in_ch + self.growth * np.arange(len(self.layers))
+        gfeats = [g.copy() for g in np.split(self.reduce.backward(gy), bounds)]
         for i in range(len(self.layers), 0, -1):
             gin = self.layers[i - 1].backward(gfeats[i])
-            for j, gpart in enumerate(_split(gin, sizes[:i])):
+            for j, gpart in enumerate(np.split(gin, bounds[:i - 1])):
                 gfeats[j] += gpart
         return gfeats[0]
 
     def children(self):
-        d = {f"layer{i}": l for i, l in enumerate(self.layers)}
-        d["reduce"] = self.reduce
-        return d
+        return {**{f"layer{i}": l for i, l in enumerate(self.layers)}, "reduce": self.reduce}
 
 
-class DilatedConvModule(Layer):
+class DilatedConvModule(FusionModule):
     """Three parallel 3^3 convolutions with dilation (and padding) 1, 2, 3,
     each BN + ReLU keeping the input channel count; outputs concatenated then
     reduced by a 1^3 conv."""
 
     def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
-        super().__init__()
-        self.in_ch = in_ch
-        self.branches = [
-            ConvBnRelu(in_ch, in_ch, 3, rng, dilation=d, padding=d, dtype=dtype)
-            for d in (1, 2, 3)
-        ]
-        self.reduce = ConvBnRelu(3 * in_ch, out_ch, 1, rng, dtype=dtype)
-
-    def forward(self, x, training):
-        outs = [b.forward(x, training) for b in self.branches]
-        return self.reduce.forward(np.concatenate(outs, axis=0), training)
-
-    def backward(self, gy):
-        gcat = self.reduce.backward(gy)
-        gx = None
-        for branch, g in zip(self.branches, _split(gcat, [self.in_ch] * 3)):
-            gb = branch.backward(np.ascontiguousarray(g))
-            gx = gb if gx is None else gx + gb
-        return gx
-
-    def children(self):
-        d = {f"branch{i + 1}": b for i, b in enumerate(self.branches)}
-        d["reduce"] = self.reduce
-        return d
+        super().__init__(
+            [ConvBnRelu(in_ch, in_ch, 3, rng, dilation=d, padding=d, dtype=dtype)
+             for d in (1, 2, 3)],
+            ConvBnRelu(3 * in_ch, out_ch, 1, rng, dtype=dtype))
 
 
-class MultiPoolModule(Layer):
+class MultiPoolModule(FusionModule):
     """Four stride-2 pooling branches (2^3 max, 2^3 avg, 3^3 max with
     padding 1, 3^3 avg with padding 1) concatenated and reduced back to the
     input channel count by a 1^3 conv.  Spatial dims halve (must be even)."""
 
     def __init__(self, channels, rng, dtype=np.float32):
-        super().__init__()
-        self.channels = channels
-        self.pools = [
-            MaxPool3d(2, 2, 0),
-            AvgPool3d(2, 2, 0),
-            MaxPool3d(3, 2, 1),
-            AvgPool3d(3, 2, 1),
-        ]
-        self.reduce = ConvBnRelu(4 * channels, channels, 1, rng, dtype=dtype)
+        super().__init__(
+            [MaxPool3d(2, 2, 0), AvgPool3d(2, 2, 0), MaxPool3d(3, 2, 1), AvgPool3d(3, 2, 1)],
+            ConvBnRelu(4 * channels, channels, 1, rng, dtype=dtype))
 
     def forward(self, x, training):
         if any(n % 2 for n in x.shape[1:]):
             raise ValueError(f"multi-pool needs even spatial dims, got {x.shape[1:]}")
-        cat = np.concatenate([p.forward(x, training) for p in self.pools], axis=0)
-        return self.reduce.forward(cat, training)
-
-    def backward(self, gy):
-        gcat = self.reduce.backward(gy)
-        gx = None
-        for pool, g in zip(self.pools, _split(gcat, [self.channels] * 4)):
-            gb = pool.backward(np.ascontiguousarray(g))
-            gx = gb if gx is None else gx + gb
-        return gx
-
-    def children(self):
-        return {"reduce": self.reduce}
+        return super().forward(x, training)
 
 
 class MFFNet:

@@ -130,43 +130,33 @@ def _spec_grid_origin(spec: PhantomSpec):
     return -(dims - 1) * sp / 2.0
 
 
-def spec_to_text(spec: PhantomSpec) -> str:
-    """Flat key=value serialization (skew as Euler-free raw matrix entries)."""
-    lines = [
-        f"major_radius={spec.major_radius!r}",
-        f"tube_radius={spec.tube_radius!r}",
-        f"arc_span_deg={spec.arc_span_deg!r}",
-        f"half_separation={spec.half_separation!r}",
-        f"canal_intensity={spec.canal_intensity!r}",
-        f"background_intensity={spec.background_intensity!r}",
-        f"shell_intensity={spec.shell_intensity!r}",
-        f"shell_thickness={spec.shell_thickness!r}",
-        f"noise_amplitude={spec.noise_amplitude!r}",
-        "dims=" + ",".join(str(int(v)) for v in spec.dims),
-        "spacing=" + ",".join(repr(float(v)) for v in spec.spacing),
-        "skew_rotation=" + ",".join(repr(float(v)) for v in spec.skew.rotation.ravel()),
-        "skew_translation=" + ",".join(repr(float(v)) for v in spec.skew.translation),
-        f"seed={spec.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-class PhantomSpecError(ValueError):
-    """Spec text that does not decode to a valid PhantomSpec."""
-
-
-# spec_to_text key -> (caster, number of comma-separated values; 0 for a scalar)
+# spec_to_text's keys in line order -> (caster, number of comma-separated
+# values; 0 for a scalar)
 _SPEC_KEYS = {
     **{name: (float, 0) for name in (
         "major_radius", "tube_radius", "arc_span_deg", "half_separation",
         "canal_intensity", "background_intensity", "shell_intensity",
         "shell_thickness", "noise_amplitude")},
-    "seed": (int, 0),
     "dims": (int, 3),
     "spacing": (float, 3),
     "skew_rotation": (float, 9),
     "skew_translation": (float, 3),
+    "seed": (int, 0),
 }
+
+
+def spec_to_text(spec: PhantomSpec) -> str:
+    """Flat key=value serialization, one _SPEC_KEYS line each, every value
+    cast to its key's type (skew as Euler-free raw matrix entries)."""
+    values = {**vars(spec), "skew_rotation": spec.skew.rotation.ravel(),
+              "skew_translation": spec.skew.translation}
+    lines = [f"{key}=" + ",".join(repr(cast(v)) for v in (values[key] if n else [values[key]]))
+             for key, (cast, n) in _SPEC_KEYS.items()]
+    return "\n".join(lines) + "\n"
+
+
+class PhantomSpecError(ValueError):
+    """Spec text that does not decode to a valid PhantomSpec."""
 
 
 def spec_from_text(text: str) -> PhantomSpec:

@@ -22,6 +22,18 @@ class EmptySegmentationError(Exception):
     pass
 
 
+def foreground_box(binary: np.ndarray):
+    """The (z, y, x) slices of the bounding box of binary's nonzero voxels, or
+    None; from an any-projection over x, then one over the (z, y) box alone."""
+    zy = np.any(binary, axis=2)
+    zs, ys = np.flatnonzero(zy.any(axis=1)), np.flatnonzero(zy.any(axis=0))
+    if not zs.size:
+        return None
+    box = (slice(int(zs[0]), int(zs[-1]) + 1), slice(int(ys[0]), int(ys[-1]) + 1))
+    xs = np.flatnonzero(np.any(binary[box], axis=(0, 1)))
+    return box + (slice(int(xs[0]), int(xs[-1]) + 1),)
+
+
 def largest_components(binary: np.ndarray, n_keep: int = 2,
                        min_voxels: int = MIN_COMPONENT_VOXELS):
     """Label the 26-connected components of `binary` on its foreground's
@@ -31,8 +43,7 @@ def largest_components(binary: np.ndarray, n_keep: int = 2,
     raster order as on the full array (add each slice's start to map an
     index back), and the kept labels, largest first.  An all-zero input
     gives an empty box."""
-    found = ndimage.find_objects(np.asarray(binary, dtype=bool).view(np.uint8))
-    box = found[0] if found else (slice(0, 0),) * 3
+    box = foreground_box(binary) or (slice(0, 0),) * 3
     labeled, _ = ndimage.label(binary[box], structure=np.ones((3, 3, 3), dtype=int))
     sizes = np.bincount(labeled.ravel())[1:]
     top = np.argsort(sizes)[::-1][:n_keep]

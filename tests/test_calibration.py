@@ -9,7 +9,7 @@ from tbcalib import calibration as cal
 from tbcalib.losses import dsc_metric
 from tbcalib.phantom import (PhantomSpec, RigidPose, generate_phantom,
                              rotation_angle_deg, rotation_from_euler_deg)
-from tbcalib.segment import MIN_COMPONENT_VOXELS, keep_largest_components
+from tbcalib.segment import MIN_COMPONENT_VOXELS, foreground_box, keep_largest_components
 from tbcalib.volume import LabelMask, Volume
 
 
@@ -177,6 +177,18 @@ def test_labelling_matches_full_grid_oracle(name):
     np.testing.assert_equal(cal.rank_result(mask), _reference_rank(mask))
 
 
+@pytest.mark.parametrize("name", sorted(LABELLING_CASES))
+def test_foreground_box_matches_find_objects(name):
+    vox = LABELLING_CASES[name][0]
+    found = ndimage.find_objects(vox)
+    assert foreground_box(vox) == (found[0] if found else None)
+    assert foreground_box(vox.astype(bool)) == foreground_box(vox)
+
+
+def test_foreground_box_of_empty_input_is_none():
+    assert foreground_box(np.zeros((3, 4, 5), dtype=bool)) is None
+
+
 def test_rank_result_labels_once(monkeypatch):
     calls = []
     label = ndimage.label
@@ -253,11 +265,10 @@ def test_fit_plane_degenerate_collinear():
 # --- frame / transform ------------------------------------------------------------
 
 def test_build_frame_right_handed_orthonormal():
-    f = cal.build_frame(np.zeros(3), [1.0, 0, 0], [0.0, 0, 1.0])
-    r = f.rotation
+    r = cal.build_frame(np.zeros(3), [1.0, 0, 0], [0.0, 0, 1.0]).rotation
     np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(f.y_axis, [0, 1.0, 0], atol=1e-12)
+    np.testing.assert_allclose(r[1], [0, 1.0, 0], atol=1e-12)  # y axis
 
 
 def test_build_frame_rejects_non_orthogonal_axes():
@@ -265,13 +276,13 @@ def test_build_frame_rejects_non_orthogonal_axes():
         cal.build_frame(np.zeros(3), [1.0, 0, 0], [0.8, 0, 0.6])
 
 
-def test_estimate_transform_maps_frame_to_canonical():
+def test_build_frame_maps_frame_to_canonical():
     rot = rotation_from_euler_deg(10, 20, 30)
-    f = cal.build_frame(np.array([3.0, -1.0, 2.0]), rot[:, 0], rot[:, 2])
-    pose = cal.estimate_transform(f)
-    np.testing.assert_allclose(pose.apply(f.origin), 0.0, atol=1e-12)
-    np.testing.assert_allclose(pose.apply(f.origin + f.x_axis), [1, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(pose.apply(f.origin + f.z_axis), [0, 0, 1], atol=1e-12)
+    p0 = np.array([3.0, -1.0, 2.0])
+    pose = cal.build_frame(p0, rot[:, 0], rot[:, 2])
+    np.testing.assert_allclose(pose.apply(p0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(pose.apply(p0 + rot[:, 0]), [1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(pose.apply(p0 + rot[:, 2]), [0, 0, 1], atol=1e-12)
 
 
 def test_decomposition_angles():

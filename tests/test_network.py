@@ -94,7 +94,7 @@ def test_multipool_halves_and_reduces():
     rng = np.random.default_rng(4)
     mp = MultiPoolModule(5, rng)
     x = rng.random((5, 8, 8, 8)).astype(np.float32)
-    outs = [p.forward(x, training=False) for p in mp.pools]
+    outs = [p.forward(x, training=False) for p in mp.branches]
     assert [o.shape for o in outs] == [(5, 4, 4, 4)] * 4
     y = mp.forward(x, training=False)
     assert y.shape == (5, 4, 4, 4)

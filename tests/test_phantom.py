@@ -93,6 +93,15 @@ def test_spec_text_roundtrip():
     np.testing.assert_allclose(back.skew.translation, spec.skew.translation)
 
 
+def test_spec_text_default_bytes():
+    assert spec_to_text(PhantomSpec()) == (
+        "major_radius=3.0\ntube_radius=0.6\narc_span_deg=240.0\nhalf_separation=30.0\n"
+        "canal_intensity=600.0\nbackground_intensity=0.0\nshell_intensity=1800.0\n"
+        "shell_thickness=2.0\nnoise_amplitude=0.0\ndims=160,96,96\nspacing=0.5,0.5,0.5\n"
+        "skew_rotation=1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0\nskew_translation=0.0,0.0,0.0\n"
+        "seed=0\n")
+
+
 @pytest.mark.parametrize("line", [
     "bogus=3",               # unknown key
     "dims=1,2",              # two of three values

@@ -213,13 +213,26 @@ def test_checkpoint_with_flags_and_optimizer_entries_loads_weights(tmp_path):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
+COMMITTED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "infer.mffw"
+
+
 def test_committed_benchmark_checkpoint_loads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "infer.mffw"
+    path = COMMITTED_CHECKPOINT
     arrays = read_checkpoint_arrays(path)
     net = MFFNet(NetworkConfig(), seed=0)
     load_checkpoint(net, path)
     for name, p in net.named_params():
         np.testing.assert_array_equal(p.data, arrays[name])
+
+
+def test_checkpoint_entry_names_do_not_drift():
+    """The default net's parameter then buffer names are the committed
+    checkpoint's entries in order: a refactor that renames, adds or moves a
+    layer's state would orphan saved weights."""
+    net = MFFNet(NetworkConfig(), seed=0)
+    names = [n for n, _ in net.named_params()] + [n for n, _ in net.named_buffers()]
+    assert len(names) == 130
+    assert names == list(read_checkpoint_arrays(COMMITTED_CHECKPOINT))
 
 
 # --- sliding-window inference --------------------------------------------------------
