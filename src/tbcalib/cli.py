@@ -3,7 +3,9 @@ segmentation, training, calibration, and evaluation.
 
 For `phantom` and `train`, option precedence is defaults < config file
 (key=value lines) < flags: `main` hands the config to the subcommand's parser
-as defaults, so argparse casts and overrides both sources alike.
+as defaults, so argparse casts and overrides both sources alike.  `phantom`
+writes the options it ran with to `spec.txt` in that same format, so
+`phantom --config <dir>/spec.txt` renders the phantom again byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,8 +22,7 @@ from . import calibration as cal
 from .losses import DEFAULT_LAMBDAS, dsc_metric
 from .nn import MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
-                      rotation_angle_deg, rotation_from_euler_deg, spec_from_text,
-                      spec_to_text, write_pose)
+                      rotation_angle_deg, rotation_from_euler_deg, write_pose)
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
 from .train import train_network
@@ -47,26 +48,22 @@ def _pair(text):
 
 
 def _dims(text):
-    return tuple(int(v) for v in _triple(text))
+    try:
+        return tuple(int(v) for v in _triple(text))
+    except OverflowError as exc:  # int(inf); argparse reports only ValueError and TypeError
+        raise argparse.ArgumentTypeError(f"dims must be finite, got {text!r}") from exc
 
 
 def cmd_phantom(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(PhantomSpec)
                  if getattr(args, f.name, None) is not None}
     try:
-        spec = PhantomSpec()
-        if args.spec_file:
-            with open(args.spec_file) as f:
-                spec = spec_from_text(f.read())
         if args.skew_euler is not None or args.skew_translation is not None:
             rot = rotation_from_euler_deg(*(args.skew_euler or (0, 0, 0)))
             overrides["skew"] = RigidPose(rot, np.array(args.skew_translation or (0.0, 0.0, 0.0)))
-        spec = replace(spec, **overrides)
+        spec = PhantomSpec(**overrides)
         vol, mask, pose = generate_phantom(spec)  # ValueError when the canals leave the grid
-    except OSError as exc:
-        print(f"error: cannot read spec file: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # PhantomSpecError and UnicodeDecodeError included
+    except ValueError as exc:
         print(f"error: invalid phantom spec: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.output, exist_ok=True)
@@ -74,7 +71,13 @@ def cmd_phantom(args) -> int:
     write_mvol(mask, os.path.join(args.output, "mask.mvol"))
     write_pose(pose, os.path.join(args.output, "pose.txt"))
     with open(os.path.join(args.output, "spec.txt"), "w") as f:
-        f.write(spec_to_text(spec))
+        # One --config line per option: a PhantomSpec field as resolved
+        # (defaults included), a skew flag only when given.
+        for key, value in vars(args).items():
+            value = getattr(spec, key, value)
+            if key not in ("command", "func", "output", "config") and value is not None:
+                text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+                f.write(f"{key}={text}\n")
     print(f"phantom written to {args.output} "
           f"({mask.foreground_count()} foreground voxels)")
     return 0
@@ -220,7 +223,6 @@ def build_parser():
     p = sub.add_parser("phantom", help="generate a synthetic canal phantom")
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--spec-file", help="phantom spec file to start from")
     p.add_argument("--seed", type=int)
     p.add_argument("--major-radius", dest="major_radius", type=float)
     p.add_argument("--tube-radius", dest="tube_radius", type=float)

@@ -10,12 +10,12 @@ verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import affine_transform
 
-from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume, parse_key_values
+from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume
 
 ORTHO_TOL = 1e-9
 FOREGROUND_BIAS = 0.75  # share of training windows centered on a foreground voxel
@@ -98,7 +98,7 @@ def read_pose(path) -> RigidPose:
 class PhantomSpec:
     major_radius: float = 3.0       # R_c, mm
     tube_radius: float = 0.6        # r_c, mm
-    arc_span_deg: float = 240.0     # occupied arc; gap faces -y in canonical pose
+    arc_span_deg: float = 240.0     # occupied arc; gap faces +y in canonical pose
     half_separation: float = 30.0   # c, mm: canal centers at (+/-c, 0, 0)
     canal_intensity: float = 600.0
     background_intensity: float = 0.0
@@ -115,8 +115,15 @@ class PhantomSpec:
             raise ValueError("need R_c > r_c > 0")
         if not (0 < self.arc_span_deg <= 360):
             raise ValueError("arc span must be in (0, 360] degrees")
-        if self.half_separation <= self.major_radius:
+        if not self.half_separation > self.major_radius:  # NaN included
             raise ValueError("half-separation c must exceed R_c")
+        if not all(math.isfinite(v) for v in (self.canal_intensity, self.background_intensity,
+                                                 self.shell_intensity)):
+            raise ValueError("intensities must be finite")
+        if not (0 <= self.noise_amplitude < math.inf and 0 <= self.shell_thickness < math.inf):
+            raise ValueError("noise amplitude and shell thickness must be finite and >= 0")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise ValueError(f"dims must be three positive sizes, got {self.dims}")
         if len(self.spacing) != 3 or not all(0 < v < math.inf for v in self.spacing):
@@ -130,67 +137,11 @@ def _spec_grid_origin(spec: PhantomSpec):
     return -(dims - 1) * sp / 2.0
 
 
-# spec_to_text's keys in line order -> (caster, number of comma-separated
-# values; 0 for a scalar)
-_SPEC_KEYS = {
-    **{name: (float, 0) for name in (
-        "major_radius", "tube_radius", "arc_span_deg", "half_separation",
-        "canal_intensity", "background_intensity", "shell_intensity",
-        "shell_thickness", "noise_amplitude")},
-    "dims": (int, 3),
-    "spacing": (float, 3),
-    "skew_rotation": (float, 9),
-    "skew_translation": (float, 3),
-    "seed": (int, 0),
-}
-
-
-def spec_to_text(spec: PhantomSpec) -> str:
-    """Flat key=value serialization, one _SPEC_KEYS line each, every value
-    cast to its key's type (skew as Euler-free raw matrix entries)."""
-    values = {**vars(spec), "skew_rotation": spec.skew.rotation.ravel(),
-              "skew_translation": spec.skew.translation}
-    lines = [f"{key}=" + ",".join(repr(cast(v)) for v in (values[key] if n else [values[key]]))
-             for key, (cast, n) in _SPEC_KEYS.items()]
-    return "\n".join(lines) + "\n"
-
-
-class PhantomSpecError(ValueError):
-    """Spec text that does not decode to a valid PhantomSpec."""
-
-
-def spec_from_text(text: str) -> PhantomSpec:
-    """Decode spec_to_text output; keys left out keep their defaults.
-
-    Raises PhantomSpecError on an unknown key, a value that does not cast, a
-    vector with the wrong number of values, or a spec PhantomSpec rejects."""
-    kv = parse_key_values(text)
-    unknown = sorted(set(kv) - set(_SPEC_KEYS))
-    if unknown:
-        raise PhantomSpecError(f"unknown spec keys: {', '.join(map(repr, unknown))}")
-    values = {}
-    for key, raw in kv.items():
-        cast, n = _SPEC_KEYS[key]
-        parts = raw.split(",")
-        if n and len(parts) != n:
-            raise PhantomSpecError(f"{key} needs {n} comma-separated values, got {raw!r}")
-        try:
-            values[key] = tuple(cast(v) for v in parts) if n else cast(raw)
-        except ValueError as exc:
-            raise PhantomSpecError(f"{key}: {exc}") from exc
-    rotation = np.reshape(values.pop("skew_rotation", np.eye(3)), (3, 3))
-    translation = np.array(values.pop("skew_translation", (0.0, 0.0, 0.0)))
-    try:
-        return replace(PhantomSpec(), skew=RigidPose(rotation, translation), **values)
-    except ValueError as exc:
-        raise PhantomSpecError(str(exc)) from exc
-
-
 def _arc_distance_sq(q, center_x, r_major, span_deg):
     """Squared distance from points q (..., 3) to the arc centered at (center_x, 0, 0).
 
     The arc lies in z=0 with radius r_major; its gap (360 - span degrees)
-    is centered on the -y direction.
+    is centered on the +y direction.
     """
     vx = q[..., 0] - center_x
     vy = q[..., 1]
@@ -198,11 +149,12 @@ def _arc_distance_sq(q, center_x, r_major, span_deg):
     rho = np.hypot(vx, vy)
     theta = np.arctan2(vy, vx)
     half_gap = math.radians(360.0 - span_deg) / 2.0
-    # Gap occupies theta in (-pi/2 - half_gap, -pi/2 + half_gap).
+    # Gap occupies theta in (pi/2 - half_gap, pi/2 + half_gap).
     off = np.abs(np.mod(theta + math.pi / 2.0, 2.0 * math.pi) - math.pi)
     in_arc = off >= half_gap
     d_arc = (rho - r_major) ** 2 + vz ** 2
-    # Endpoint angles of the arc.
+    # The mirror images in y of the arc's endpoints: above a 180-degree span
+    # they lie on the arc's body, so the drawn ends are flat cuts.
     t0 = -math.pi / 2.0 + half_gap
     t1 = -math.pi / 2.0 - half_gap
     d_end = np.full_like(d_arc, np.inf)
@@ -240,20 +192,14 @@ def _counter_noise(seed: int, indices: np.ndarray, amplitude: float) -> np.ndarr
 
 
 def _arc_sample_points(spec: PhantomSpec, n=720):
-    """Dense world-space samples of both skewed arc center-lines."""
+    """Dense world-space samples of both skewed arc center-lines, as drawn by
+    `_arc_distance_sq` (gap centered on +y)."""
     half_gap = math.radians(360.0 - spec.arc_span_deg) / 2.0
-    t0 = -math.pi / 2.0 + half_gap
+    t0 = math.pi / 2.0 + half_gap
     thetas = t0 + np.linspace(0.0, math.radians(spec.arc_span_deg), n)
-    pts = []
-    for cx in (-spec.half_separation, spec.half_separation):
-        p = np.stack(
-            [cx + spec.major_radius * np.cos(thetas),
-             spec.major_radius * np.sin(thetas),
-             np.zeros_like(thetas)],
-            axis=1,
-        )
-        pts.append(p)
-    return spec.skew.apply(np.concatenate(pts, axis=0))
+    ring = spec.major_radius * np.stack([np.cos(thetas), np.sin(thetas), np.zeros(n)], axis=1)
+    centers = ((-spec.half_separation, 0.0, 0.0), (spec.half_separation, 0.0, 0.0))
+    return spec.skew.apply(np.concatenate([ring + c for c in centers]))
 
 
 def generate_phantom(spec: PhantomSpec):

@@ -327,10 +327,10 @@ def test_mvol_roundtrip_100_randomized(tmp_path):
         else:
             obj = LabelMask(voxels=(rng.random((nz, ny, nx)) < 0.5).astype(np.uint8),
                             spacing=spacing, origin=origin)
-        path = tmp_path / "rt.mvol"
+        path = tmp_path / f"rt{i}.mvol"  # a new file each time: rewriting one is slow on ext4
         write_mvol(obj, path)
         back = read_mvol(path)
-        path2 = tmp_path / "rt2.mvol"
+        path2 = tmp_path / f"rt{i}_again.mvol"
         write_mvol(back, path2)
         assert path.read_bytes() == path2.read_bytes()
         assert np.array_equal(back.voxels, obj.voxels)

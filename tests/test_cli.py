@@ -55,19 +55,39 @@ def test_phantom_invalid_spec_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("argv,spec_text", [
-    (("--spec-file", "s.txt"), "dims=1,2\n"),
-    (("--spec-file", "s.txt"), "bogus=3\n"),
-    (("--spec-file", "missing.txt"), None),
-    (("--dims", "96,64,48", "--skew-euler", "5,-4,8"), None),  # canals leave the grid
+@pytest.mark.parametrize("argv", [
+    ("--dims", "96,64,48", "--skew-euler", "5,-4,8"),  # canals leave the grid
+    ("--separation", "nan"),
+    ("--seed", "-3", "--noise", "100"),
+    ("--seed", str(2 ** 64)),
+    ("--canal-intensity", "inf"),
+    ("--noise", "-5"),
+    ("--noise", "nan"),
 ])
-def test_phantom_bad_spec_exits_2(tmp_path, capsys, argv, spec_text):
-    if spec_text is not None:
-        (tmp_path / "s.txt").write_text(spec_text)
-    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+def test_phantom_bad_spec_exits_2(tmp_path, capsys, argv):
     assert run("phantom", "--output", tmp_path / "x", *argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_spec_txt_rebuilds_the_phantom_byte_for_byte(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("phantom", "--output", first, "--dims", "176,80,64", "--tube-radius", "0.7",
+               "--noise", "150", "--seed", "9", "--skew-euler", "5,-4,8",
+               "--skew-translation", "1,0,-1.5") == 0
+    assert run("phantom", "--config", first / "spec.txt", "--output", again) == 0
+    for name in ("volume.mvol", "mask.mvol", "pose.txt", "spec.txt"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    assert len(np.unique(read_mvol(again / "volume.mvol").voxels)) > 3
+    assert not np.allclose(read_pose(again / "pose.txt").rotation, np.eye(3))
+
+
+def test_default_spec_txt_text(tmp_path):
+    assert run("phantom", "--output", tmp_path) == 0
+    assert (tmp_path / "spec.txt").read_text() == (
+        "seed=0\nmajor_radius=3.0\ntube_radius=0.6\narc_span_deg=240.0\n"
+        "half_separation=30.0\ncanal_intensity=600.0\nbackground_intensity=0.0\n"
+        "shell_intensity=1800.0\nnoise_amplitude=0.0\ndims=160,96,96\nspacing=0.5,0.5,0.5\n")
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -289,6 +309,7 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("command, text, flag", [
     ("phantom", "dims=1,2\n", "--dims"),
+    ("phantom", "dims=inf,96,96\n", "--dims"),
     ("train", "lr=fast\n", "--lr"),
 ])
 def test_malformed_config_value_exits_2(small_phantom_dir, tmp_path, capsys, command, text, flag):

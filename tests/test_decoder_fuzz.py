@@ -1,6 +1,12 @@
-"""Property tests: a truncated or byte-flipped `.mffw` or `.mvol` file or
-phantom spec text makes its decoder raise only its own typed error
-(`CheckpointError`, `MvolError`, `PhantomSpecError`)."""
+"""Property tests: a truncated or byte-flipped `.mffw` or `.mvol` file makes
+its decoder raise only its own typed error (`CheckpointError`, `MvolError`),
+and a damaged `spec.txt` read back through `phantom --config` ends in exit
+status 0 or 2, never in a traceback.
+
+Each example writes a file of its own: on ext4, truncating and rewriting an
+existing file costs tens of milliseconds, creating a new one well under one."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,10 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tbcalib import cli  # noqa: E402
 from tbcalib.nn import MFFNet, NetworkConfig  # noqa: E402
 from tbcalib.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint  # noqa: E402
-from tbcalib.phantom import (PhantomSpec, PhantomSpecError, RigidPose,  # noqa: E402
-                             rotation_from_euler_deg, spec_from_text, spec_to_text)
+from tbcalib.phantom import RigidPose  # noqa: E402
 from tbcalib.volume import LabelMask, MvolError, Volume, read_mvol, write_mvol  # noqa: E402
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -32,6 +38,11 @@ def damaged(data: bytes, hot: int):
         return bytes(out)
 
     return st.one_of(st.integers(0, len(data) - 1).map(lambda n: data[:n]), flips.map(flip))
+
+
+def fresh_paths(directory, suffix):
+    """A new file name in `directory` for every example."""
+    return (directory / f"{i}{suffix}" for i in itertools.count())
 
 
 def tiny_net():
@@ -63,11 +74,12 @@ def test_damaged_checkpoint_raises_only_checkpoint_error(checkpoint_bytes, tmp_p
     net = tiny_net()
     payload = 4 * (sum(p.data.size for _, p in net.named_params())
                    + sum(b.size for _, b in net.named_buffers()))
-    path = tmp_path / "damaged.mffw"
+    paths = fresh_paths(tmp_path, ".mffw")
 
     @FUZZ
     @given(damaged(checkpoint_bytes, hot=len(checkpoint_bytes) - payload))
     def check(data):
+        path = next(paths)
         path.write_bytes(data)
         try:
             load_checkpoint(net, path)
@@ -78,11 +90,12 @@ def test_damaged_checkpoint_raises_only_checkpoint_error(checkpoint_bytes, tmp_p
 
 
 def test_damaged_mvol_raises_only_mvol_error(mvol_bytes, tmp_path):
-    path = tmp_path / "damaged.mvol"
+    paths = fresh_paths(tmp_path, ".mvol")
 
     @FUZZ
     @given(damaged(mvol_bytes, hot=48))
     def check(data):
+        path = next(paths)
         path.write_bytes(data)
         try:
             read_mvol(path)
@@ -92,17 +105,26 @@ def test_damaged_mvol_raises_only_mvol_error(mvol_bytes, tmp_path):
     check()
 
 
-def test_damaged_spec_text_raises_only_phantom_spec_error():
-    spec = PhantomSpec(noise_amplitude=50.0, seed=7,
-                       skew=RigidPose(rotation_from_euler_deg(5, -3, 2), [0.5, 1.0, -1.5]))
-    data = spec_to_text(spec).encode()
+def test_damaged_spec_config_exits_0_or_2(tmp_path, monkeypatch):
+    tiny = (Volume(voxels=np.zeros((1, 1, 1))), LabelMask(voxels=np.zeros((1, 1, 1))),
+            RigidPose.identity())
+    monkeypatch.setattr(cli, "generate_phantom", lambda spec: tiny)  # decode only, no render
+    assert cli.main(["phantom", "--output", str(tmp_path / "spec"), "--noise", "50",
+                     "--seed", "7", "--skew-euler", "5,-3,2",
+                     "--skew-translation", "0.5,1,-1.5"]) == 0
+    data = (tmp_path / "spec" / "spec.txt").read_bytes()
+    names = itertools.count()
 
     @FUZZ
     @given(damaged(data, hot=len(data)))
     def check(damaged_data):
+        i = next(names)
+        path = tmp_path / f"{i}.txt"
+        path.write_bytes(damaged_data)
         try:
-            assert isinstance(spec_from_text(damaged_data.decode("latin-1")), PhantomSpec)
-        except PhantomSpecError:
-            pass
+            assert cli.main(["phantom", "--config", str(path),
+                             "--output", str(tmp_path / f"out{i}")]) in (0, 2)
+        except SystemExit as exc:
+            assert exc.code == 2
 
     check()

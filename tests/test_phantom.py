@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
+from scipy.spatial import cKDTree
 
-from tbcalib.phantom import (PhantomSpecError, PhantomSpec, RigidPose, generate_phantom,
-                             read_pose, rotation_angle_deg,
-                             rotation_from_euler_deg, sample_training_pair,
-                             spec_from_text, spec_to_text, write_pose)
+from tbcalib.phantom import (PhantomSpec, RigidPose, _arc_sample_points, generate_phantom,
+                             read_pose, rotation_angle_deg, rotation_from_euler_deg,
+                             sample_training_pair, write_pose)
 from tbcalib.volume import LabelMask, Volume
 
 
@@ -80,49 +80,37 @@ def test_pose_file_wrong_length(tmp_path):
         read_pose(p)
 
 
-# --- spec serialization ----------------------------------------------------
-
-def test_spec_text_roundtrip():
-    spec = PhantomSpec(tube_radius=0.8, noise_amplitude=50.0, seed=7,
-                       skew=RigidPose(rotation_from_euler_deg(5, -3, 2),
-                                      np.array([0.5, 1.0, -1.5])))
-    back = spec_from_text(spec_to_text(spec))
-    assert back.tube_radius == spec.tube_radius
-    assert back.seed == 7
-    np.testing.assert_allclose(back.skew.rotation, spec.skew.rotation)
-    np.testing.assert_allclose(back.skew.translation, spec.skew.translation)
-
-
-def test_spec_text_default_bytes():
-    assert spec_to_text(PhantomSpec()) == (
-        "major_radius=3.0\ntube_radius=0.6\narc_span_deg=240.0\nhalf_separation=30.0\n"
-        "canal_intensity=600.0\nbackground_intensity=0.0\nshell_intensity=1800.0\n"
-        "shell_thickness=2.0\nnoise_amplitude=0.0\ndims=160,96,96\nspacing=0.5,0.5,0.5\n"
-        "skew_rotation=1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0\nskew_translation=0.0,0.0,0.0\n"
-        "seed=0\n")
-
-
-@pytest.mark.parametrize("line", [
-    "bogus=3",               # unknown key
-    "dims=1,2",              # two of three values
-    "spacing=0.5,0.5,0.5,0.5",
-    "skew_translation=1,2",
-    "skew_rotation=1,0,0,0,1,0,0,0",
-    "seed=1.5",              # does not cast
-    "tube_radius=9",         # a spec PhantomSpec rejects
-    "dims=0,64,48",
-    "skew_rotation=nan,0,0,0,1,0,0,0,1",  # NaN fails no comparison-based check
-])
-def test_spec_from_text_rejects_with_typed_error(line):
-    with pytest.raises(PhantomSpecError):
-        spec_from_text(spec_to_text(PhantomSpec()) + line + "\n")
-
+# --- spec validation -------------------------------------------------------
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         PhantomSpec(tube_radius=5.0)  # exceeds major radius
     with pytest.raises(ValueError):
         PhantomSpec(half_separation=2.0)  # less than major radius
+
+
+@pytest.mark.parametrize("name, value", [
+    ("half_separation", math.nan),       # fails no comparison-based check
+    ("half_separation", 3.0),            # equal to R_c
+    ("canal_intensity", math.inf),
+    ("background_intensity", math.nan),
+    ("shell_intensity", -math.inf),
+    ("noise_amplitude", -1.0),           # was silently ignored
+    ("noise_amplitude", math.nan),
+    ("noise_amplitude", math.inf),
+    ("shell_thickness", -0.5),
+    ("shell_thickness", math.inf),
+    ("seed", -3),                        # overflowed in the counter noise
+    ("seed", 2 ** 64),
+])
+def test_spec_rejects_what_it_cannot_render(name, value):
+    with pytest.raises(ValueError):
+        PhantomSpec(**{name: value})
+
+
+def test_spec_accepts_the_largest_seed():
+    vol, _, _ = generate_phantom(small_spec(seed=2 ** 64 - 1, noise_amplitude=100.0))
+    assert np.isfinite(vol.voxels).all() and len(np.unique(vol.voxels)) > 3
 
 
 # --- phantom rendering -----------------------------------------------------
@@ -191,6 +179,16 @@ def test_skewed_phantom_matches_transformed_geometry():
     from tbcalib.phantom import _canal_distance_sq
     d2 = _canal_distance_sq(q, spec)
     assert d2.max() <= spec.tube_radius ** 2 + 1e-9
+
+
+def test_unskewed_mask_lies_on_the_checked_arc():
+    """The bounds check samples the arc that is drawn, gap on +y: every
+    foreground voxel center of an unskewed phantom lies within r_c (plus half
+    a sample step) of the sampled center-lines."""
+    spec = small_spec()
+    _, mask, _ = generate_phantom(spec)
+    dist, _ = cKDTree(_arc_sample_points(spec)).query(mask.world(mask.foreground_indices_xyz()))
+    assert dist.max() <= spec.tube_radius + 0.01
 
 
 def test_clipped_canals_raise():
