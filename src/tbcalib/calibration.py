@@ -313,16 +313,6 @@ def _mirror_index(mask: LabelMask) -> int:
     return int(np.rint(-2.0 * mask.origin[0] / mask.spacing[0]))
 
 
-def mirror_mask_x(mask: LabelMask) -> LabelMask:
-    """Reflect a mask about the calibrated mid-sagittal plane (world x = 0)."""
-    nx = mask.voxels.shape[2]
-    out = np.zeros_like(mask.voxels)
-    src = _mirror_index(mask) - np.arange(nx)
-    valid = (src >= 0) & (src < nx)
-    out[:, :, valid] = mask.voxels[:, :, src[valid]]
-    return LabelMask(voxels=out, spacing=mask.spacing.copy(), origin=mask.origin.copy())
-
-
 def rank_result(calibrated_mask: LabelMask):
     """Rank a calibrated mask: Excellent / Good / Failed.
 
@@ -332,9 +322,10 @@ def rank_result(calibrated_mask: LabelMask):
     is Failed.  Returns (rank, slice_gap, mirror_dsc).
 
     Everything is counted on the foreground's bounding box: mirror-DSC is the
-    Dice of the mask A and `mirror_mask_x`(A), from |A|, |M(A)| (the voxels of
-    A whose mirror lies on the grid) and |A n M(A)| (the voxels of A whose
-    mirror lies in the box and in A).
+    Dice of the mask A and its reflection M(A) about the calibrated
+    mid-sagittal plane (world x = 0, index i -> `_mirror_index` - i), from
+    |A|, |M(A)| (the voxels of A whose mirror lies on the grid) and
+    |A n M(A)| (the voxels of A whose mirror lies in the box and in A).
     """
     labeled, keep, box = largest_components(calibrated_mask.voxels)
     if len(keep) < 2:

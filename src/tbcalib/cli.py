@@ -3,9 +3,10 @@ segmentation, training, calibration, and evaluation.
 
 For `phantom` and `train`, option precedence is defaults < config file
 (key=value lines) < flags: `main` hands the config to the subcommand's parser
-as defaults, so argparse casts and overrides both sources alike.  `phantom`
-writes the options it ran with to `spec.txt` in that same format, so
-`phantom --config <dir>/spec.txt` renders the phantom again byte for byte.
+as defaults, so argparse casts and overrides both sources alike (`config` and
+the required options are flags only).  `phantom` writes the options it ran
+with to `spec.txt` in that same format, so `phantom --config <dir>/spec.txt`
+renders the phantom again byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from .train import train_network
 from .volume import parse_key_values, read_mvol, write_mvol
 
 
+# Parsed-argument keys that a --config file may not set: the parser's own
+# entries, `config` itself, and the required flags, which argparse demands
+# on the command line, so a config value for them would never be used.
+FLAG_ONLY = ("command", "func", "config", "output", "input", "mask")
+
+
 def _floats(text):
     return tuple(float(v) for v in text.split(","))
 
@@ -48,10 +55,10 @@ def _pair(text):
 
 
 def _dims(text):
-    try:
-        return tuple(int(v) for v in _triple(text))
-    except OverflowError as exc:  # int(inf); argparse reports only ValueError and TypeError
-        raise argparse.ArgumentTypeError(f"dims must be finite, got {text!r}") from exc
+    parts = _triple(text)
+    if not all(v.is_integer() for v in parts):  # inf and nan included
+        raise argparse.ArgumentTypeError(f"dims must be whole numbers, got {text!r}")
+    return tuple(int(v) for v in parts)
 
 
 def cmd_phantom(args) -> int:
@@ -75,7 +82,7 @@ def cmd_phantom(args) -> int:
         # (defaults included), a skew flag only when given.
         for key, value in vars(args).items():
             value = getattr(spec, key, value)
-            if key not in ("command", "func", "output", "config") and value is not None:
+            if key not in FLAG_ONLY and value is not None:
                 text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
                 f.write(f"{key}={text}\n")
     print(f"phantom written to {args.output} "
@@ -298,7 +305,7 @@ def main(argv=None) -> int:
             command.error(f"cannot read config {args.config}: {exc}")
         config = {k.replace("-", "_"): v for k, v in parse_key_values(text).items()}
         for key in config:
-            if key not in vars(args) or key in ("command", "func", "config"):
+            if key not in vars(args) or key in FLAG_ONLY:
                 command.error(f"{args.config}: unknown config key {key!r}")
         command.set_defaults(**config)
         args = parser.parse_args(argv)

@@ -19,6 +19,7 @@ from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume
 
 ORTHO_TOL = 1e-9
 FOREGROUND_BIAS = 0.75  # share of training windows centered on a foreground voxel
+RENDER_CHUNK = 1 << 18  # voxels per chunk of a render pass (bounds its float64 temporaries)
 
 
 @dataclass
@@ -167,13 +168,6 @@ def _arc_distance_sq(q, center_x, r_major, span_deg):
     return np.where(in_arc, d_arc, d_end)
 
 
-def _canal_distance_sq(q, spec: PhantomSpec):
-    """Squared distance to the nearest of the two canal arcs."""
-    d_left = _arc_distance_sq(q, -spec.half_separation, spec.major_radius, spec.arc_span_deg)
-    d_right = _arc_distance_sq(q, +spec.half_separation, spec.major_radius, spec.arc_span_deg)
-    return np.minimum(d_left, d_right)
-
-
 def _counter_noise(seed: int, indices: np.ndarray, amplitude: float) -> np.ndarray:
     """Order-independent uniform noise in [-a, +a] keyed on (seed, voxel index).
 
@@ -191,65 +185,85 @@ def _counter_noise(seed: int, indices: np.ndarray, amplitude: float) -> np.ndarr
     return (2.0 * u - 1.0) * amplitude
 
 
-def _arc_sample_points(spec: PhantomSpec, n=720):
-    """Dense world-space samples of both skewed arc center-lines, as drawn by
-    `_arc_distance_sq` (gap centered on +y)."""
+def _drawn_points(spec: PhantomSpec, center_x: float, n=720):
+    """World-space points one skewed canal is drawn around by `_arc_distance_sq`:
+    n samples of its arc center-line (gap centered on +y), then the two
+    `d_end` ball centers, which lie in the gap below a 180-degree span."""
     half_gap = math.radians(360.0 - spec.arc_span_deg) / 2.0
-    t0 = math.pi / 2.0 + half_gap
-    thetas = t0 + np.linspace(0.0, math.radians(spec.arc_span_deg), n)
-    ring = spec.major_radius * np.stack([np.cos(thetas), np.sin(thetas), np.zeros(n)], axis=1)
-    centers = ((-spec.half_separation, 0.0, 0.0), (spec.half_separation, 0.0, 0.0))
-    return spec.skew.apply(np.concatenate([ring + c for c in centers]))
+    arc = math.pi / 2.0 + half_gap + np.linspace(0.0, math.radians(spec.arc_span_deg), n)
+    thetas = np.append(arc, (-math.pi / 2.0 + half_gap, -math.pi / 2.0 - half_gap))
+    pts = np.stack([center_x + spec.major_radius * np.cos(thetas),
+                    spec.major_radius * np.sin(thetas), np.zeros(n + 2)], axis=1)
+    return spec.skew.apply(pts)
 
 
 def generate_phantom(spec: PhantomSpec):
     """Render (Volume, LabelMask, RigidPose) for a phantom spec.
 
     The mask is computed analytically per voxel center and is noise-free;
-    the volume adds counter-based uniform noise.  Raises if either skewed
-    canal comes within 2*r_c of the volume boundary.
+    the volume adds counter-based uniform noise, keyed on the flat voxel
+    index over the whole grid.  Each canal's arc distance is computed only
+    inside the box of its drawn points (`_drawn_points`) widened by tube +
+    shell + one voxel; every voxel outside both boxes is background.
+    Raises if either skewed canal comes within 2*r_c of the volume boundary.
     """
+    dims = np.array(spec.dims)
     nx, ny, nz = spec.dims
     sp = np.asarray(spec.spacing, dtype=np.float64)
     origin = _spec_grid_origin(spec)
 
-    # Bounds check: arc center-lines plus tube radius must fit with margin.
+    # Bounds check: drawn points plus tube radius must fit with margin.
     margin = 2.0 * spec.tube_radius
     lo = origin - sp / 2.0
-    hi = origin + (np.array([nx, ny, nz]) - 0.5) * sp
-    arc_pts = _arc_sample_points(spec)
+    hi = origin + (dims - 0.5) * sp
+    canals = [(cx, _drawn_points(spec, cx))
+              for cx in (-spec.half_separation, spec.half_separation)]
     reach = spec.tube_radius + margin
-    if np.any(arc_pts - reach < lo) or np.any(arc_pts + reach > hi):
-        raise ValueError("canals are clipped by the volume bounds (including 2*r_c margin)")
+    for _, pts in canals:
+        if np.any(pts - reach < lo) or np.any(pts + reach > hi):
+            raise ValueError("canals are clipped by the volume bounds (including 2*r_c margin)")
+
+    def level(value, flat):
+        if spec.noise_amplitude > 0:
+            return value + _counter_noise(spec.seed, flat, spec.noise_amplitude)
+        return value
+
+    count = nx * ny * nz
+    vol = np.empty(count, dtype=np.float32)
+    for start in range(0, count, RENDER_CHUNK):
+        stop = min(start + RENDER_CHUNK, count)
+        vol[start:stop] = level(spec.background_intensity, np.arange(start, stop, dtype=np.uint64))
 
     inv = spec.skew.inverse()
-    vol = np.empty((nz, ny, nx), dtype=np.float32)
-    mask = np.empty((nz, ny, nx), dtype=np.uint8)
-    xs = origin[0] + np.arange(nx) * sp[0]
-    ys = origin[1] + np.arange(ny) * sp[1]
+    axes = [o + np.arange(n) * s for o, n, s in zip(origin, dims, sp)]  # voxel centers, x y z
     r_in = spec.tube_radius ** 2
     r_shell = (spec.tube_radius + spec.shell_thickness) ** 2
-    for iz in range(nz):
-        wz = origin[2] + iz * sp[2]
-        w = np.empty((ny, nx, 3), dtype=np.float64)
-        w[..., 0] = xs[None, :]
-        w[..., 1] = ys[:, None]
-        w[..., 2] = wz
-        q = inv.apply(w)
-        d2 = _canal_distance_sq(q, spec)
-        fg = d2 <= r_in
-        shell = (d2 <= r_shell) & ~fg
-        slab = np.full((ny, nx), spec.background_intensity, dtype=np.float64)
-        slab[shell] = spec.shell_intensity
-        slab[fg] = spec.canal_intensity
-        if spec.noise_amplitude > 0:
-            flat = (np.arange(ny * nx, dtype=np.uint64) + np.uint64(iz * ny * nx)).reshape(ny, nx)
-            slab = slab + _counter_noise(spec.seed, flat, spec.noise_amplitude)
-        vol[iz] = slab.astype(np.float32)
-        mask[iz] = fg.astype(np.uint8)
+    pad = spec.tube_radius + spec.shell_thickness + sp
+    shell, fg = [], []
+    for cx, pts in canals:
+        first = np.floor((pts.min(axis=0) - pad - origin) / sp)
+        last = np.ceil((pts.max(axis=0) + pad - origin) / sp)
+        (x0, y0, z0), (x1, y1, z1) = np.clip([first, last + 1], 0, dims).astype(int)
+        step = max(1, RENDER_CHUNK // ((y1 - y0) * (x1 - x0)))  # z-planes per slab of the box
+        for za in range(z0, z1, step):
+            zb = min(za + step, z1)
+            w = np.empty((zb - za, y1 - y0, x1 - x0, 3))
+            w[..., 0] = axes[0][x0:x1]
+            w[..., 1] = axes[1][y0:y1, None]
+            w[..., 2] = axes[2][za:zb, None, None]
+            d2 = _arc_distance_sq(inv.apply(w), cx, spec.major_radius, spec.arc_span_deg)
+            iz, iy, ix = np.nonzero(d2 <= r_shell)
+            flat = ((iz + za) * ny + iy + y0) * nx + ix + x0
+            shell.append(flat)
+            fg.append(flat[d2[iz, iy, ix] <= r_in])
+    shell, fg = np.concatenate(shell), np.concatenate(fg)
+    vol[shell] = level(spec.shell_intensity, shell)  # canal voxels go last, over any shell
+    vol[fg] = level(spec.canal_intensity, fg)
+    mask = np.zeros(count, dtype=np.uint8)
+    mask[fg] = 1
 
-    volume = Volume(voxels=vol, spacing=sp, origin=origin)
-    label = LabelMask(voxels=mask, spacing=sp, origin=origin)
+    volume = Volume(voxels=vol.reshape(nz, ny, nx), spacing=sp, origin=origin)
+    label = LabelMask(voxels=mask.reshape(nz, ny, nx), spacing=sp, origin=origin)
     return volume, label, spec.skew
 
 

@@ -28,6 +28,17 @@ def small_phantom(**kw):
     return generate_phantom(PhantomSpec(**kw))
 
 
+def mirror_mask_x(mask: LabelMask) -> LabelMask:
+    """Reflect a mask about the calibrated mid-sagittal plane (world x = 0):
+    the whole-grid reference for `rank_result`'s mirror-DSC."""
+    nx = mask.voxels.shape[2]
+    out = np.zeros_like(mask.voxels)
+    src = cal._mirror_index(mask) - np.arange(nx)
+    valid = (src >= 0) & (src < nx)
+    out[:, :, valid] = mask.voxels[:, :, src[valid]]
+    return LabelMask(voxels=out, spacing=mask.spacing.copy(), origin=mask.origin.copy())
+
+
 # --- component split ---------------------------------------------------------
 
 def test_split_components_left_right_by_world_x():
@@ -94,7 +105,7 @@ def _reference_rank(mask):
     zs = [np.nonzero(labeled == lab)[0] for lab in keep]
     overlap = zs[0].min() <= zs[1].max() and zs[1].min() <= zs[0].max()
     gap = float(abs(zs[0].mean() - zs[1].mean()))
-    mirror = dsc_metric(mask, cal.mirror_mask_x(mask))
+    mirror = dsc_metric(mask, mirror_mask_x(mask))
     if not overlap:
         return "Failed", gap, mirror
     if gap <= cal.RANK_SLICE_GAP and mirror >= cal.RANK_MIRROR_DSC:
@@ -448,7 +459,7 @@ def test_resample_rejects_bad_spacing():
 
 def test_mirror_mask_of_symmetric_mask_is_identical():
     _, mask, _ = small_phantom()
-    mirrored = cal.mirror_mask_x(mask)
+    mirrored = mirror_mask_x(mask)
     np.testing.assert_array_equal(mirrored.voxels, mask.voxels)
 
 
@@ -456,7 +467,7 @@ def test_mirror_mask_moves_one_sided_blob():
     m = blob_mask([(10, 20, 20), (30, 20, 20)])
     one_sided = LabelMask(voxels=(m.voxels * (np.arange(40) < 20)[None, None, :]).astype(np.uint8),
                           spacing=m.spacing, origin=m.origin)
-    mirrored = cal.mirror_mask_x(one_sided)
+    mirrored = mirror_mask_x(one_sided)
     assert dsc_metric(one_sided, mirrored) == 0.0
 
 

@@ -63,6 +63,7 @@ def test_phantom_invalid_spec_exit_code(tmp_path):
     ("--canal-intensity", "inf"),
     ("--noise", "-5"),
     ("--noise", "nan"),
+    ("--dims", "160,64,48", "--arc-span", "120", "--skew-translation", "0,14,0"),  # a gap ball
 ])
 def test_phantom_bad_spec_exits_2(tmp_path, capsys, argv):
     assert run("phantom", "--output", tmp_path / "x", *argv) == 2
@@ -296,6 +297,19 @@ def test_unknown_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command
     assert not (tmp_path / "ph").exists() and not (tmp_path / "net.mffw").exists()
 
 
+@pytest.mark.parametrize("command, key", [("phantom", "output"), ("train", "output"),
+                                          ("train", "input"), ("train", "mask")])
+def test_required_flag_as_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key}={tmp_path / 'elsewhere'}\n")
+    argv = (("phantom", "--output", tmp_path / "ph") if command == "phantom"
+            else train_argv(small_phantom_dir, tmp_path / "net.mffw"))
+    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
+    assert code == 2
+    assert f"unknown config key {key!r}" in err
+    assert not any((tmp_path / name).exists() for name in ("ph", "net.mffw", "elsewhere"))
+
+
 @pytest.mark.parametrize("content", [None, b"dims=\xff\n"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.txt"
@@ -310,6 +324,7 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
 @pytest.mark.parametrize("command, text, flag", [
     ("phantom", "dims=1,2\n", "--dims"),
     ("phantom", "dims=inf,96,96\n", "--dims"),
+    ("phantom", "dims=160.7,96.9,96\n", "--dims"),
     ("train", "lr=fast\n", "--lr"),
 ])
 def test_malformed_config_value_exits_2(small_phantom_dir, tmp_path, capsys, command, text, flag):
@@ -320,6 +335,14 @@ def test_malformed_config_value_exits_2(small_phantom_dir, tmp_path, capsys, com
     code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
     assert code == 2
     assert f"argument {flag}" in err
+
+
+def test_non_integral_dims_flag_exits_2(tmp_path, capsys):
+    code, err = exit_code_and_stderr(capsys, "phantom", "--output", tmp_path / "ph",
+                                     "--dims", "160.7,96.9,96")
+    assert code == 2
+    assert "argument --dims: dims must be whole numbers" in err
+    assert not (tmp_path / "ph").exists()
 
 
 def test_config_accepts_flag_spelling_of_keys(tmp_path):

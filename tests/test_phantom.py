@@ -5,15 +5,23 @@ import pytest
 from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 
-from tbcalib.phantom import (PhantomSpec, RigidPose, _arc_sample_points, generate_phantom,
-                             read_pose, rotation_angle_deg, rotation_from_euler_deg,
-                             sample_training_pair, write_pose)
+from tbcalib.phantom import (PhantomSpec, RigidPose, _arc_distance_sq, _counter_noise,
+                             _drawn_points, _spec_grid_origin, generate_phantom, read_pose,
+                             rotation_angle_deg, rotation_from_euler_deg, sample_training_pair,
+                             write_pose)
 from tbcalib.volume import LabelMask, Volume
 
 
 def small_spec(**kw):
     kw.setdefault("dims", (160, 64, 48))
     return PhantomSpec(**kw)
+
+
+def _canal_distance_sq(q, spec: PhantomSpec):
+    """Squared distance to the nearest of the two canal arcs."""
+    d_left = _arc_distance_sq(q, -spec.half_separation, spec.major_radius, spec.arc_span_deg)
+    d_right = _arc_distance_sq(q, +spec.half_separation, spec.major_radius, spec.arc_span_deg)
+    return np.minimum(d_left, d_right)
 
 
 # --- rigid poses -----------------------------------------------------------
@@ -176,7 +184,6 @@ def test_skewed_phantom_matches_transformed_geometry():
     _, mask, pose = generate_phantom(spec)
     np.testing.assert_array_equal(pose.rotation, skew.rotation)
     q = skew.inverse().apply(mask.world(mask.foreground_indices_xyz()))
-    from tbcalib.phantom import _canal_distance_sq
     d2 = _canal_distance_sq(q, spec)
     assert d2.max() <= spec.tube_radius ** 2 + 1e-9
 
@@ -187,7 +194,9 @@ def test_unskewed_mask_lies_on_the_checked_arc():
     a sample step) of the sampled center-lines."""
     spec = small_spec()
     _, mask, _ = generate_phantom(spec)
-    dist, _ = cKDTree(_arc_sample_points(spec)).query(mask.world(mask.foreground_indices_xyz()))
+    drawn = np.concatenate([_drawn_points(spec, c)
+                            for c in (-spec.half_separation, spec.half_separation)])
+    dist, _ = cKDTree(drawn).query(mask.world(mask.foreground_indices_xyz()))
     assert dist.max() <= spec.tube_radius + 0.01
 
 
@@ -195,6 +204,95 @@ def test_clipped_canals_raise():
     skew = RigidPose(np.eye(3), np.array([30.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         generate_phantom(small_spec(skew=skew))
+
+
+def test_gap_ball_past_the_margin_raises():
+    """Below a 180-degree span the `d_end` balls lie in the gap, and the
+    bounds check sees them: shifted 14 mm along +y on a 160x64x48 grid
+    (top face y = 16 mm), a 120-degree canal's ball centers sit at
+    y = 15.5 mm, closer than 3*r_c to the face, while its arc stays below
+    y = 12.5 mm."""
+    spec = small_spec(arc_span_deg=120.0, skew=RigidPose(np.eye(3), np.array([0.0, 14.0, 0.0])))
+    drawn = _drawn_points(spec, spec.half_separation)
+    reach = 3.0 * spec.tube_radius
+    assert drawn[:-2, 1].max() + reach <= 16.0 < drawn[-2:, 1].max() + reach
+    with pytest.raises(ValueError):
+        generate_phantom(spec)
+    generate_phantom(small_spec(arc_span_deg=120.0,  # 2 mm lower, the balls fit
+                                skew=RigidPose(np.eye(3), np.array([0.0, 12.0, 0.0]))))
+
+
+# --- render oracle ---------------------------------------------------------
+
+def reference_phantom(spec: PhantomSpec):
+    """The former renderer, bounds check left out: both arc distances at
+    every voxel of the grid, one z-slice at a time.  Returns (volume, mask)
+    voxel arrays."""
+    nx, ny, nz = spec.dims
+    sp = np.asarray(spec.spacing, dtype=np.float64)
+    origin = _spec_grid_origin(spec)
+    inv = spec.skew.inverse()
+    vol = np.empty((nz, ny, nx), dtype=np.float32)
+    mask = np.empty((nz, ny, nx), dtype=np.uint8)
+    xs = origin[0] + np.arange(nx) * sp[0]
+    ys = origin[1] + np.arange(ny) * sp[1]
+    r_in = spec.tube_radius ** 2
+    r_shell = (spec.tube_radius + spec.shell_thickness) ** 2
+    for iz in range(nz):
+        wz = origin[2] + iz * sp[2]
+        w = np.empty((ny, nx, 3), dtype=np.float64)
+        w[..., 0] = xs[None, :]
+        w[..., 1] = ys[:, None]
+        w[..., 2] = wz
+        q = inv.apply(w)
+        d2 = _canal_distance_sq(q, spec)
+        fg = d2 <= r_in
+        shell = (d2 <= r_shell) & ~fg
+        slab = np.full((ny, nx), spec.background_intensity, dtype=np.float64)
+        slab[shell] = spec.shell_intensity
+        slab[fg] = spec.canal_intensity
+        if spec.noise_amplitude > 0:
+            flat = (np.arange(ny * nx, dtype=np.uint64) + np.uint64(iz * ny * nx)).reshape(ny, nx)
+            slab = slab + _counter_noise(spec.seed, flat, spec.noise_amplitude)
+        vol[iz] = slab.astype(np.float32)
+        mask[iz] = fg.astype(np.uint8)
+    return vol, mask
+
+
+SKEW = RigidPose(rotation_from_euler_deg(8, -6, 12), np.array([1.0, -2.0, 1.5]))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(noise_amplitude=300.0, seed=3, skew=SKEW),
+    dict(skew=SKEW),
+    dict(dims=(112, 64, 64), half_separation=20.0, noise_amplitude=300.0, seed=8, skew=SKEW),
+    dict(dims=(160, 64, 48), arc_span_deg=120.0, noise_amplitude=50.0),
+    dict(dims=(160, 64, 48), arc_span_deg=360.0, skew=SKEW),
+    dict(dims=(160, 80, 64), spacing=(0.45, 0.6, 0.8), skew=SKEW),
+    dict(dims=(160, 64, 48), shell_thickness=0.0, noise_amplitude=80.0),
+    dict(dims=(64, 64, 48), half_separation=4.0, skew=SKEW),
+    dict(dims=(64, 64, 48), half_separation=3.5, noise_amplitude=20.0),
+    dict(dims=(160, 64, 48), seed=2 ** 64 - 1, noise_amplitude=100.0),
+    # shifted 10 mm up in z: the canal fits its margin, the shell crosses the face
+    dict(dims=(160, 64, 48), skew=RigidPose(rotation_from_euler_deg(0, 0, 20),
+                                            np.array([0.0, 0.0, 10.0]))),
+    dict(dims=(160, 64, 48), major_radius=2.5, tube_radius=0.9, shell_thickness=3.0,
+         canal_intensity=-200.0, background_intensity=-1000.0, shell_intensity=2500.5,
+         noise_amplitude=150.0, seed=11, skew=SKEW),
+    dict(shell_thickness=15.0, noise_amplitude=60.0, seed=12, skew=SKEW),  # box > 2**18 voxels
+    dict(dims=(320, 192, 192), spacing=(0.25, 0.25, 0.25), tube_radius=1.2,
+         skew=RigidPose(rotation_from_euler_deg(-14, 9, 13), np.array([2.5, -1.0, -2.0]))),
+], ids=["default-noisy", "default-clean", "reduced", "span120", "span360", "anisotropic",
+        "no-shell", "shells-overlap", "tubes-overlap", "max-seed", "near-margin",
+        "intensities", "thick-shell", "battery-grid"])
+def test_render_matches_per_slice_oracle(kw):
+    spec = PhantomSpec(**kw)
+    vol, mask, _ = generate_phantom(spec)
+    ref_vol, ref_mask = reference_phantom(spec)
+    assert vol.voxels.dtype == np.float32 and mask.voxels.dtype == np.uint8
+    assert vol.voxels.tobytes() == ref_vol.tobytes()
+    assert mask.voxels.tobytes() == ref_mask.tobytes()
+    assert mask.foreground_count() > 0
 
 
 # --- training-pair sampling ------------------------------------------------
