@@ -247,13 +247,12 @@ def _slab_windows(dst, out_dims):
     return windows
 
 
-def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
-             pad_voxels: int = BBOX_PAD_VOXELS):
+def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING):
     """Resample a Volume (trilinear) or LabelMask (nearest) onto an isotropic
     grid axis-aligned in the calibrated frame.
 
     `pose` maps world to calibrated coordinates.  The output grid covers the
-    transformed bounding box of the input, padded by `pad_voxels` per side;
+    transformed bounding box of the input, padded by BBOX_PAD_VOXELS per side;
     out-of-field intensities take the input minimum (air), labels take 0.
 
     Output index i (x, y, z) samples input index A @ i + c, one affine map.
@@ -263,16 +262,16 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
     output is filled once, then each slab of SLAB_PLANES output planes gets
     one `ndimage.affine_transform` call on the window that the source box's
     image covers within it (`_slab_windows`), with offset c + A @ (window
-    start).  The calls run on one thread per CPU this process may use, and
-    inline when that is one; the windows do not depend on that count.
+    start).  The calls run on one thread per CPU this process may use; the
+    windows do not depend on that count.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     nx, ny, nz = vol.dims
     src = _box_corners((0, 0, 0), (nx - 1, ny - 1, nz - 1))  # a volume's source box
     corners_cal = pose.apply(vol.world(src))
-    lo = corners_cal.min(axis=0) - pad_voxels * spacing
-    hi = corners_cal.max(axis=0) + pad_voxels * spacing
+    lo = corners_cal.min(axis=0) - BBOX_PAD_VOXELS * spacing
+    hi = corners_cal.max(axis=0) + BBOX_PAD_VOXELS * spacing
     out_dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int) + 1, 1)
 
     inv = pose.inverse()
@@ -297,13 +296,8 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING,
 
     # The CPUs this process may use; sched_getaffinity exists only on some platforms.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(windows))
-    if workers <= 1:
-        for window, offset in zip(windows, offsets):
-            sample(window, offset)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(sample, windows, offsets))  # re-raises a worker's exception
+    with ThreadPoolExecutor(cpus or 1) as pool:  # starts at most one thread per window
+        list(pool.map(sample, windows, offsets))  # re-raises a worker's exception
     return cls(voxels=out, spacing=(spacing,) * 3, origin=lo)
 
 

@@ -120,6 +120,9 @@ def cmd_train(args) -> int:
             config=net_config,
             log_path=args.loss_log,
         )
+    except ValueError as exc:
+        print(f"error: invalid training input: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: training aborted: {exc}", file=sys.stderr)
         return 1

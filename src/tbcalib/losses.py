@@ -63,19 +63,17 @@ def weighted_ce(p: np.ndarray, g: np.ndarray, weight: float, strict: bool = Fals
     return loss, np.where(inside, grad, 0.0)
 
 
-def joint_loss(main_p: np.ndarray, aux_ps, g: np.ndarray,
-               lambdas=DEFAULT_LAMBDAS, weight: float | None = None):
-    """Joint training loss: Dice + weighted CE on the main head plus
-    lambda-weighted Dice + CE terms for each auxiliary head.
+def joint_loss(main_p: np.ndarray, aux_ps, g: np.ndarray, lambdas=DEFAULT_LAMBDAS):
+    """Joint training loss: Dice + CE weighted by class_weight(g) on the main
+    head plus lambda-weighted Dice + CE terms for each auxiliary head.
 
     Returns (total, breakdown dict, grad wrt main, [grads wrt aux]).
     """
     aux_ps = list(aux_ps)
-    lambdas = list(lambdas)[: len(aux_ps)]
+    lambdas = list(lambdas)
     if len(lambdas) != len(aux_ps):
         raise ValueError(f"need one lambda per aux head: {len(lambdas)} vs {len(aux_ps)}")
-    if weight is None:
-        weight = class_weight(g)
+    weight = class_weight(g)
 
     d_main, gd_main = dsc_loss(main_p, g)
     c_main, gc_main = weighted_ce(main_p, g, weight)

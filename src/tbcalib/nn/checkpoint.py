@@ -88,12 +88,11 @@ def _copy_into(dst, src, name, path) -> None:
 
 
 def load_checkpoint(net, path) -> None:
-    """Load weights and BN running statistics in place."""
+    """Load weights and BN running statistics in place; every one must be in
+    the file, and entries the net does not have are ignored."""
     arrays = read_checkpoint_arrays(path)
-    for name, p in net.named_params():
+    entries = [(n, p.data, "parameter") for n, p in net.named_params()]
+    for name, dst, kind in entries + [(n, b, "buffer") for n, b in net.named_buffers()]:
         if name not in arrays:
-            raise CheckpointError(f"{path}: missing parameter {name}")
-        _copy_into(p.data, arrays[name], name, path)
-    for name, b in net.named_buffers():
-        if name in arrays:
-            _copy_into(b, arrays[name], name, path)
+            raise CheckpointError(f"{path}: missing {kind} {name}")
+        _copy_into(dst, arrays[name], name, path)

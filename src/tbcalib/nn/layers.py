@@ -5,6 +5,10 @@ needs; an eval forward drops any earlier cache and keeps nothing, and its
 batch norm and ReLU work in place on their input, which the caller hands
 over.  Backward accumulates parameter gradients into Param.grad and
 returns the gradient with respect to the input.
+
+Every convolution has stride 1 and "same" padding, dilation·(kernel // 2)
+per side, so it keeps the spatial size.  Every pool has stride 2 and
+padding (kernel - 1) // 2 per side, so it halves an even spatial size.
 """
 
 from __future__ import annotations
@@ -39,12 +43,10 @@ class Layer:
 
 
 class Conv3d(Layer):
-    def __init__(self, in_ch, out_ch, kernel, rng, stride=1, dilation=1,
-                 padding=0, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, dtype=np.float32):
         super().__init__()
-        self.stride = stride
         self.dilation = dilation
-        self.padding = padding
+        self.padding = dilation * (kernel // 2)
         fan_in = in_ch * kernel ** 3
         fan_out = out_ch * kernel ** 3
         w = glorot_uniform(rng, (out_ch, in_ch, kernel, kernel, kernel),
@@ -55,11 +57,11 @@ class Conv3d(Layer):
     def forward(self, x, training):
         self._x = x if training else None
         return ops.conv3d_forward(x, self.params["w"].data, self.params["b"].data,
-                                  self.stride, self.dilation, self.padding)
+                                  dilation=self.dilation, padding=self.padding)
 
     def backward(self, gy):
         gx, gw, gb = ops.conv3d_backward(self._x, self.params["w"].data, gy,
-                                         self.stride, self.dilation, self.padding)
+                                         dilation=self.dilation, padding=self.padding)
         self.params["w"].grad += gw
         self.params["b"].grad += gb
         return gx
@@ -137,45 +139,42 @@ class Sigmoid(Layer):
 
 
 class MaxPool3d(Layer):
-    def __init__(self, kernel, stride, padding=0):
+    def __init__(self, kernel):
         super().__init__()
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+        self.pool = (kernel, 2, (kernel - 1) // 2)  # (kernel, stride, padding)
 
     def forward(self, x, training):
         if not training:
             self._shape = self._arg = None
-            return ops.maxpool3d_inference(x, self.kernel, self.stride, self.padding)
-        y, self._arg = ops.maxpool3d_forward(x, self.kernel, self.stride, self.padding)
+            return ops.maxpool3d_inference(x, *self.pool)
+        y, self._arg = ops.maxpool3d_forward(x, *self.pool)
         self._shape = x.shape
         return y
 
     def backward(self, gy):
-        return ops.maxpool3d_backward(self._shape, self._arg, gy,
-                                      self.kernel, self.stride, self.padding)
+        return ops.maxpool3d_backward(self._shape, self._arg, gy, *self.pool)
 
 
 class AvgPool3d(Layer):
-    def __init__(self, kernel, stride, padding=0):
+    def __init__(self, kernel):
         super().__init__()
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+        self.pool = (kernel, 2, (kernel - 1) // 2)  # (kernel, stride, padding)
 
     def forward(self, x, training):
-        y, counts = ops.avgpool3d_forward(x, self.kernel, self.stride, self.padding)
+        y, counts = ops.avgpool3d_forward(x, *self.pool)
         self._shape, self._counts = (x.shape, counts) if training else (None, None)
         return y
 
     def backward(self, gy):
-        return ops.avgpool3d_backward(self._shape, self._counts, gy,
-                                      self.kernel, self.stride, self.padding)
+        return ops.avgpool3d_backward(self._shape, self._counts, gy, *self.pool)
 
 
 class ConvBnRelu(Layer):
     """3D conv followed by batch-norm and ReLU, the standard building unit."""
 
-    def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, padding=0, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, dtype=np.float32):
         super().__init__()
-        self.conv = Conv3d(in_ch, out_ch, kernel, rng, dilation=dilation,
-                           padding=padding, dtype=dtype)
+        self.conv = Conv3d(in_ch, out_ch, kernel, rng, dilation=dilation, dtype=dtype)
         self.bn = BatchNorm3d(out_ch, dtype=dtype)
         self.relu = ReLU()
 

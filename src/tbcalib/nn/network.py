@@ -55,14 +55,14 @@ class DenseBlock(Layer):
     to out_ch.  The stack is one array of pre_reduction_channels channels,
     and layer i reads its first in_ch + i*g channels in place."""
 
-    def __init__(self, in_ch, out_ch, rng, growth=8, n_layers=4, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, rng, growth, n_layers, dtype=np.float32):
         super().__init__()
         self.in_ch = in_ch
         self.growth = growth
         self.layers = []
         ch = in_ch
         for _ in range(n_layers):
-            self.layers.append(ConvBnRelu(ch, growth, 3, rng, padding=1, dtype=dtype))
+            self.layers.append(ConvBnRelu(ch, growth, 3, rng, dtype=dtype))
             ch += growth
         self.pre_reduction_channels = ch
         self.reduce = ConvBnRelu(ch, out_ch, 1, rng, dtype=dtype)
@@ -91,13 +91,13 @@ class DenseBlock(Layer):
 
 
 class DilatedConvModule(FusionModule):
-    """Three parallel 3^3 convolutions with dilation (and padding) 1, 2, 3,
+    """Three parallel 3^3 convolutions with dilation (and so padding) 1, 2, 3,
     each BN + ReLU keeping the input channel count; outputs concatenated then
     reduced by a 1^3 conv."""
 
     def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
         super().__init__(
-            [ConvBnRelu(in_ch, in_ch, 3, rng, dilation=d, padding=d, dtype=dtype)
+            [ConvBnRelu(in_ch, in_ch, 3, rng, dilation=d, dtype=dtype)
              for d in (1, 2, 3)],
             ConvBnRelu(3 * in_ch, out_ch, 1, rng, dtype=dtype))
 
@@ -109,7 +109,7 @@ class MultiPoolModule(FusionModule):
 
     def __init__(self, channels, rng, dtype=np.float32):
         super().__init__(
-            [MaxPool3d(2, 2, 0), AvgPool3d(2, 2, 0), MaxPool3d(3, 2, 1), AvgPool3d(3, 2, 1)],
+            [MaxPool3d(2), AvgPool3d(2), MaxPool3d(3), AvgPool3d(3)],
             ConvBnRelu(4 * channels, channels, 1, rng, dtype=dtype))
 
     def forward(self, x, training):
@@ -131,16 +131,16 @@ class MFFNet:
         rng = np.random.default_rng(seed)
         c0, c1, c2, c3 = (cfg.stem_channels, cfg.enc1_channels,
                           cfg.enc2_channels, cfg.dcm_channels)
-        self.stem = ConvBnRelu(1, c0, 3, rng, padding=1, dtype=dtype)
+        self.stem = ConvBnRelu(1, c0, 3, rng, dtype=dtype)
         self.db1 = DenseBlock(c0, c1, rng, cfg.growth, cfg.dense_layers, dtype)
         self.mp1 = MultiPoolModule(c1, rng, dtype)
         self.db2 = DenseBlock(c1, c2, rng, cfg.growth, cfg.dense_layers, dtype)
         self.mp2 = MultiPoolModule(c2, rng, dtype)
         self.dcm = DilatedConvModule(c2, c3, rng, dtype)
         self.up1 = ConvTranspose3d(c3, c2, rng, dtype=dtype)
-        self.dec1 = ConvBnRelu(2 * c2, c2, 3, rng, padding=1, dtype=dtype)
+        self.dec1 = ConvBnRelu(2 * c2, c2, 3, rng, dtype=dtype)
         self.up2 = ConvTranspose3d(c2, c1, rng, dtype=dtype)
-        self.dec2 = ConvBnRelu(2 * c1, c1, 3, rng, padding=1, dtype=dtype)
+        self.dec2 = ConvBnRelu(2 * c1, c1, 3, rng, dtype=dtype)
         self.out_conv = Conv3d(c1, 1, 1, rng, dtype=dtype)
         self.out_sig = Sigmoid()
         # Deep-supervision heads: 1^3 conv to one channel, transposed-conv

@@ -38,12 +38,12 @@ pooling sums its k³ taps in scan order, like the nested-loop definition,
 divides by the outer product of the per-axis in-bounds counts, and
 scatters its gradient one axis at a time.
 
-The transposed convolution takes kernel = stride, so its output windows
-never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward pass is
-one GEMM wᵀ @ x giving every (output channel, tap) row at once, then each
-tap's rows are written, bias added, into their strided slice of the
-upsampled grid; the backward pass undoes that interleave on grad_out and
-makes one GEMM each for grad_x and grad_w.
+The transposed convolution's stride is its kernel side, so its output
+windows never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward
+pass is one GEMM wᵀ @ x giving every (output channel, tap) row at once,
+then each tap's rows are written, bias added, into their strided slice of
+the upsampled grid; the backward pass undoes that interleave on grad_out
+and makes one GEMM each for grad_x and grad_w.
 
 The forward functions return what their backward pass needs.  Inference
 needs none of it: `batchnorm_inference_inplace` is the running-statistics
@@ -58,45 +58,35 @@ import numpy as np
 from scipy import special
 
 COLS_BYTES = 8 << 20  # bound on the chunk buffers of one conv call
-
-
-def _triple(v):
-    if np.isscalar(v):
-        return (int(v),) * 3
-    t = tuple(int(x) for x in v)
-    if len(t) != 3:
-        raise ValueError(f"expected scalar or 3-tuple, got {v}")
-    return t
+BN_MOMENTUM = 0.9  # share of the running statistics kept at each training step
+BN_EPS = 1e-5
 
 
 def conv3d_output_shape(spatial, k, stride, dilation, padding):
     """Exact per-axis output size; raises if stride does not divide evenly."""
     out = []
-    pads = _triple(padding)
-    for n, p in zip(spatial, pads):
-        span = n + 2 * p - dilation * (k - 1) - 1
+    for n in spatial:
+        span = n + 2 * padding - dilation * (k - 1) - 1
         if span < 0:
-            raise ValueError(
-                f"padded extent {n + 2 * p} smaller than dilated kernel {dilation * (k - 1) + 1}"
-            )
+            raise ValueError(f"padded extent {n + 2 * padding} smaller than "
+                             f"dilated kernel {dilation * (k - 1) + 1}")
         if span % stride != 0:
             raise ValueError(
-                f"non-integral output size: ({n} + 2*{p} - {dilation}*({k}-1) - 1) / {stride}"
+                f"non-integral output size: ({n} + 2*{padding} - {dilation}*({k}-1) - 1) / {stride}"
             )
         out.append(span // stride + 1)
     return tuple(out)
 
 
-def _flat_padded(x, padding, k, dilation):
-    """x zero-padded and flattened to (C, Dp·Hp·Wp), its padded spatial
+def _flat_padded(x, p, k, dilation):
+    """x zero-padded by p and flattened to (C, Dp·Hp·Wp), its padded spatial
     shape, the flat shift of each depth tap kd and of each in-plane tap
     (kh, kw) in scan order; tap (kd, kh, kw) is the sum of the two."""
-    pd, ph, pw = _triple(padding)
     xp = x
-    if pd or ph or pw:  # one interior copy: np.pad writes each face in its own pass
+    if p:  # one interior copy: np.pad writes each face in its own pass
         c, d, h, w = x.shape
-        xp = np.zeros((c, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        xp[:, pd:pd + d, ph:ph + h, pw:pw + w] = x
+        xp = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, p:p + d, p:p + h, p:p + w] = x
     _, dp, hp, wp = xp.shape
     depth = [dilation * kd * hp * wp for kd in range(k)]
     plane = [dilation * (kh * wp + kw) for kh, kw in np.ndindex(k, k)]
@@ -182,9 +172,9 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     g1 = gf[:, margin:margin + d1 * hp * wp].reshape(co, d1, hp, wp)
     g1[:, ::stride, :h1:stride, :w1:stride] = grad_out
     # Nonzero x and kept grad_x lie between the first and last unpadded voxel.
-    pd, ph, pw = _triple(padding)
-    lo = (pd * hp + ph) * wp + pw
-    hi = ((pd + d - 1) * hp + ph + h - 1) * wp + pw + wd
+    p = padding
+    lo = (p * hp + p) * wp + p
+    hi = ((p + d - 1) * hp + p + h - 1) * wp + p + wd
     wm_t = w.transpose(1, 2, 3, 4, 0).reshape(ci, -1)
     gxf = np.empty_like(xf)
     gw_t = np.zeros((len(offs) * co, ci), dtype=w.dtype)
@@ -192,21 +182,21 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
         np.matmul(wm_t, cols, out=gxf[:, a:e])
         gw_t += cols @ xf[:, a:e].T
     del xf, gf, cols  # free before the crop copy
-    gx = gxf.reshape(ci, dp, hp, wp)[:, pd:pd + d, ph:ph + h, pw:pw + wd].copy()
+    gx = gxf.reshape(ci, dp, hp, wp)[:, p:p + d, p:p + h, p:p + wd].copy()
     gw = gw_t.reshape(k, k, k, co, ci).transpose(3, 4, 0, 1, 2).copy()
     return gx, gw, grad_out.sum(axis=(1, 2, 3))
 
 
-def _check_transpose_kernel(w, stride):
+def _check_transpose_kernel(w):
     k = w.shape[2]
-    if w.shape[2:] != (k, k, k) or k != stride:
-        raise ValueError(f"transposed conv needs a cubic kernel equal to the stride, "
-                         f"got kernel {w.shape[2:]} and stride {stride}")
+    if w.shape[2:] != (k, k, k):
+        raise ValueError(f"transposed conv needs a cubic kernel, got kernel {w.shape[2:]}")
     return k
 
 
-def conv_transpose3d_forward(x, w, b, stride=2):
-    """Transposed convolution (adjoint of a strided conv) with kernel = stride.
+def conv_transpose3d_forward(x, w, b):
+    """Transposed convolution (adjoint of a strided conv) whose stride is
+    the kernel side k.
 
     x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial n*k.
     """
@@ -214,7 +204,7 @@ def conv_transpose3d_forward(x, w, b, stride=2):
     ci_w, co = w.shape[:2]
     if ci_w != ci:
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
-    k = _check_transpose_kernel(w, stride)
+    k = _check_transpose_kernel(w)
     taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, k, k, k, d, h, wd)
     y = np.empty((co, d * k, h * k, wd * k), dtype=taps.dtype)
     bias = b[:, None, None, None]
@@ -223,11 +213,11 @@ def conv_transpose3d_forward(x, w, b, stride=2):
     return y
 
 
-def conv_transpose3d_backward(x, w, grad_out, stride=2):
+def conv_transpose3d_backward(x, w, grad_out):
     """Gradients of conv_transpose3d_forward; returns (grad_x, grad_w, grad_b)."""
     ci, d, h, wd = x.shape
     co = w.shape[1]
-    k = _check_transpose_kernel(w, stride)
+    k = _check_transpose_kernel(w)
     g = grad_out.reshape(co, d, k, h, k, wd, k).transpose(0, 2, 4, 6, 1, 3, 5)
     g = g.reshape(co * k ** 3, -1)  # (Co·k³, D·H·W), one row per output channel and tap
     gx = (w.reshape(ci, -1) @ g).reshape(x.shape)
@@ -235,12 +225,11 @@ def conv_transpose3d_backward(x, w, grad_out, stride=2):
     return gx, gw, grad_out.sum(axis=(1, 2, 3))
 
 
-def _pool_taps(x_shape, k, stride, padding):
+def _pool_taps(x_shape, k, stride, p):
     """Output spatial shape and, per spatial axis, the (dst, src) slices of
-    each kernel tap j: the outputs o whose input position stride·o + j -
-    padding lies inside the input, and those positions.  Skipping the
-    others is all that padding contributed."""
-    p = int(padding)
+    each kernel tap j: the outputs o whose input position stride·o + j - p
+    lies inside the input, and those positions.  Skipping the others is all
+    that padding p contributed."""
     out = tuple((n + 2 * p - k) // stride + 1 for n in x_shape[1:])
     if any(o <= 0 for o in out):
         raise ValueError(f"pooling window {k} too large for input {x_shape[1:]}")
@@ -337,13 +326,13 @@ def avgpool3d_backward(x_shape, counts, grad_out, k, stride, padding=0):
     return g
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                      training, momentum=0.9, eps=1e-5):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, training):
     """Per-channel normalization over spatial positions.
 
     Training mode uses batch statistics and updates the running buffers in
-    place; inference mode uses the running statistics.  Either is applied
-    as one per-channel scale and shift, cast to x.dtype.  Returns (y, cache).
+    place with momentum BN_MOMENTUM; inference mode uses the running
+    statistics.  Either is applied as one per-channel scale and shift, cast
+    to x.dtype.  Returns (y, cache).
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -352,13 +341,13 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     if training:
         mean = xr.mean(axis=1)
         var = xr.var(axis=1)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mean
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mean, var = running_mean.copy(), running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale, shift = _bn_scale_shift(gamma, beta, mean, inv_std, x.dtype)
     y = xr * scale[:, None] + shift[:, None]
     return y.reshape(x.shape), (xr, mean, inv_std, gamma, training)
@@ -369,11 +358,11 @@ def _bn_scale_shift(gamma, beta, mean, inv_std, dtype):
     return scale.astype(dtype), (beta - mean * scale).astype(dtype)
 
 
-def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var, eps=1e-5):
+def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var):
     """batchnorm_forward(training=False) written over x, with no cache:
     the same per-channel scale and shift, so the same bits.  Returns x."""
     scale, shift = _bn_scale_shift(gamma, beta, running_mean,
-                                   1.0 / np.sqrt(running_var + eps), x.dtype)
+                                   1.0 / np.sqrt(running_var + BN_EPS), x.dtype)
     x *= scale[:, None, None, None]
     x += shift[:, None, None, None]
     return x

@@ -10,6 +10,7 @@ verified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume
 
 ORTHO_TOL = 1e-9
 FOREGROUND_BIAS = 0.75  # share of training windows centered on a foreground voxel
+MAX_ROTATION_DEG = 5.0  # largest training rotation about each axis
 RENDER_CHUNK = 1 << 18  # voxels per chunk of a render pass (bounds its float64 temporaries)
 
 
@@ -125,8 +127,9 @@ class PhantomSpec:
             raise ValueError("noise amplitude and shell thickness must be finite and >= 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise ValueError(f"dims must be three positive sizes, got {self.dims}")
+        if len(self.dims) != 3 or not all(isinstance(n, numbers.Integral) and n >= 1
+                                          for n in self.dims):
+            raise ValueError(f"dims must be three integers >= 1, got {self.dims}")
         if len(self.spacing) != 3 or not all(0 < v < math.inf for v in self.spacing):
             raise ValueError(f"spacing must be three positive finite values, got {self.spacing}")
 
@@ -267,13 +270,12 @@ def generate_phantom(spec: PhantomSpec):
     return volume, label, spec.skew
 
 
-def sample_training_pair(vol: Volume, mask: LabelMask, seed: int,
-                         max_rotation_deg: float = 5.0):
+def sample_training_pair(vol: Volume, mask: LabelMask, seed: int):
     """Draw one augmented 48^3 training pair (intensity cuboid, label cuboid).
 
     With probability FOREGROUND_BIAS the window is centered on a random
     foreground voxel, guaranteeing foreground presence; otherwise the offset
-    is uniform.  A random rotation up to +/-max_rotation_deg per axis is
+    is uniform.  A random rotation up to +/-MAX_ROTATION_DEG per axis is
     applied about the window center: trilinear for intensities, nearest
     neighbor for labels.  Deterministic in `seed`.
     """
@@ -293,7 +295,7 @@ def sample_training_pair(vol: Volume, mask: LabelMask, seed: int,
                          np.array([nx, ny, nz]) - CUBOID_SIDE)
     else:
         offset = np.array([rng.integers(n - CUBOID_SIDE + 1) for n in (nx, ny, nz)])
-    angles = rng.uniform(-max_rotation_deg, max_rotation_deg, size=3)
+    angles = rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG, size=3)
 
     rot = rotation_from_euler_deg(*angles)
     sp = vol.spacing

@@ -34,10 +34,10 @@ def foreground_box(binary: np.ndarray):
     return box + (slice(int(xs[0]), int(xs[-1]) + 1),)
 
 
-def largest_components(binary: np.ndarray, n_keep: int = 2,
-                       min_voxels: int = MIN_COMPONENT_VOXELS):
+def largest_components(binary: np.ndarray):
     """Label the 26-connected components of `binary` on its foreground's
-    bounding box and pick the n largest of at least min_voxels.
+    bounding box and pick the two largest (the two canals) of at least
+    MIN_COMPONENT_VOXELS.
 
     Returns (labeled, keep, box): the labels of binary[box], numbered in
     raster order as on the full array (add each slice's start to map an
@@ -46,14 +46,14 @@ def largest_components(binary: np.ndarray, n_keep: int = 2,
     box = foreground_box(binary) or (slice(0, 0),) * 3
     labeled, _ = ndimage.label(binary[box], structure=np.ones((3, 3, 3), dtype=int))
     sizes = np.bincount(labeled.ravel())[1:]
-    top = np.argsort(sizes)[::-1][:n_keep]
-    return labeled, top[sizes[top] >= min_voxels] + 1, box
+    top = np.argsort(sizes)[::-1][:2]
+    return labeled, top[sizes[top] >= MIN_COMPONENT_VOXELS] + 1, box
 
 
-def keep_largest_components(binary: np.ndarray, n_keep: int = 2,
-                            min_voxels: int = MIN_COMPONENT_VOXELS) -> np.ndarray:
-    """Keep the n largest 26-connected components of at least min_voxels."""
-    labeled, keep, box = largest_components(binary, n_keep, min_voxels)
+def keep_largest_components(binary: np.ndarray) -> np.ndarray:
+    """Keep the two largest 26-connected components of at least
+    MIN_COMPONENT_VOXELS."""
+    labeled, keep, box = largest_components(binary)
     out = np.zeros(np.shape(binary), dtype=np.uint8)
     out[box] = np.isin(labeled, keep)
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import class_weight, dsc_metric, joint_loss
+from .losses import dsc_metric, joint_loss
 from .nn import Adam, MFFNet, NetworkConfig
 from .phantom import sample_training_pair
 from .volume import LabelMask, Volume, extract_cuboid, normalize_intensity
@@ -39,13 +39,16 @@ def train_network(vol: Volume, mask: LabelMask,
     Returns (net, history) where history is a list of per-iteration
     breakdown dicts (CSV-logged to log_path when given).
     """
+    if iterations < 0 or batch_size < 1:
+        raise ValueError(f"need iterations >= 0 and batch_size >= 1, "
+                         f"got {iterations} and {batch_size}")
     net = MFFNet(config, seed=seed)
     opt = Adam(net.named_params(), lr=lr)
     norm = normalize_intensity(vol)
     if fixed_offset is not None:
         fixed_pair = (extract_cuboid(norm, fixed_offset).values,
                       extract_cuboid(mask, fixed_offset).values.astype(np.float64))
-    nb = 1 if fixed_offset is not None else max(1, batch_size)
+    nb = 1 if fixed_offset is not None else batch_size
 
     history = []
     log_file = open(log_path, "w") if log_path else None
@@ -63,8 +66,7 @@ def train_network(vol: Volume, mask: LabelMask,
                     g = lab.values.astype(np.float64)
                 main, auxes = net.forward(x[None], training=True)
                 loss, breakdown, gmain, gaux = joint_loss(
-                    main[0], [a[0] for a in auxes], g,
-                    lambdas=net.config.lambdas, weight=class_weight(g))
+                    main[0], [a[0] for a in auxes], g, lambdas=net.config.lambdas)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(it)
                 net.backward(gmain[None], [ga[None] for ga in gaux])

@@ -96,11 +96,6 @@ class _Grid3:
         idx = np.asarray(index_xyz, dtype=np.float64)
         return self.origin + idx * self.spacing
 
-    def index(self, world_xyz):
-        """Continuous voxel index (x, y, z) of world position(s) in mm."""
-        w = np.asarray(world_xyz, dtype=np.float64)
-        return (w - self.origin) / self.spacing
-
     def same_grid(self, other) -> bool:
         return (
             self.voxels.shape == other.voxels.shape
@@ -163,11 +158,9 @@ def extract_cuboid(vol, offset_xyz) -> Cuboid:
     return Cuboid(values=win.copy(), offset=(ox, oy, oz))
 
 
-def normalize_intensity(vol: Volume, window=DEFAULT_WINDOW) -> Volume:
-    """Clamp to [lo, hi] then map affinely to [0, 1]."""
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
+def normalize_intensity(vol: Volume) -> Volume:
+    """Clamp to DEFAULT_WINDOW [lo, hi] then map affinely to [0, 1]."""
+    lo, hi = DEFAULT_WINDOW
     v = np.clip(vol.voxels, lo, hi)
     v = (v - lo) / (hi - lo)
     return Volume(voxels=v.astype(np.float32), spacing=vol.spacing.copy(), origin=vol.origin.copy())
@@ -260,14 +253,14 @@ def read_mvol(path):
 # Slices are assembled in filename-sorted order, one slice per file.
 # ---------------------------------------------------------------------------
 
-def read_raw_stack(directory, sidecar="stack.txt") -> Volume:
-    with open(os.path.join(directory, sidecar)) as f:
+def read_raw_stack(directory) -> Volume:
+    with open(os.path.join(directory, "stack.txt")) as f:
         meta = parse_key_values(f.read())
     try:
         nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
         spacing = (float(meta["sx"]), float(meta["sy"]), float(meta["sz"]))
     except KeyError as exc:
-        raise ValueError(f"{sidecar} in {directory}: missing key {exc.args[0]!r}") from None
+        raise ValueError(f"stack.txt in {directory}: missing key {exc.args[0]!r}") from None
     origin = tuple(float(meta.get(k, 0.0)) for k in ("ox", "oy", "oz"))
     names = sorted(
         f for f in os.listdir(directory)

@@ -172,12 +172,9 @@ LABELLING_CASES = _labelling_cases()
 def test_labelling_matches_full_grid_oracle(name):
     vox, origin_x = LABELLING_CASES[name]
     mask = LabelMask(voxels=vox, spacing=(0.5, 0.6, 0.7), origin=(origin_x, -12.0, -7.0))
-    for n_keep in (1, 2, 3, 6):
-        for min_voxels in (1, MIN_COMPONENT_VOXELS):
-            labeled, keep = _full_grid_top(vox, n_keep, min_voxels)
-            np.testing.assert_array_equal(
-                keep_largest_components(vox.astype(bool), n_keep, min_voxels),
-                np.isin(labeled, keep).astype(np.uint8))
+    labeled, keep = _full_grid_top(vox)
+    np.testing.assert_array_equal(keep_largest_components(vox.astype(bool)),
+                                  np.isin(labeled, keep).astype(np.uint8))
     ref = _reference_split(mask)
     if ref is None:
         with pytest.raises(cal.InsufficientAnchorsError):
@@ -309,10 +306,12 @@ def test_resample_identity_preserves_values():
     rng = np.random.default_rng(2)
     v = Volume(voxels=rng.normal(size=(10, 12, 14)).astype(np.float32),
                spacing=(0.5, 0.5, 0.5), origin=(-3.0, -3.0, -2.5))
-    out = cal.resample(v, RigidPose.identity(), spacing=0.5, pad_voxels=0)
-    # output grid coincides with input voxel centers; trilinear is exact there
-    assert out.voxels.shape == v.voxels.shape
-    np.testing.assert_allclose(out.voxels, v.voxels, atol=1e-5)
+    out = cal.resample(v, RigidPose.identity(), spacing=0.5)
+    # inside the padding, the output grid coincides with input voxel centers;
+    # trilinear is exact there
+    p = cal.BBOX_PAD_VOXELS
+    assert out.voxels.shape == tuple(n + 2 * p for n in v.voxels.shape)
+    np.testing.assert_allclose(out.voxels[p:-p, p:-p, p:-p], v.voxels, atol=1e-5)
 
 
 def test_resample_mask_nearest_binary():

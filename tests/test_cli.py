@@ -226,6 +226,11 @@ def test_train_lambdas_flag(small_phantom_dir, tmp_path):
                            "--lambdas", "0.4,0.2")) == 0
 
 
+def test_train_rejects_zero_batch_size(small_phantom_dir, tmp_path):
+    assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw", "--batch-size", "0")) == 2
+    assert not (tmp_path / "net.mffw").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_train_rejects_lambdas_outside_unit_interval(small_phantom_dir, tmp_path, source):
     cfg = tmp_path / "cfg.txt"

@@ -106,6 +106,8 @@ def test_joint_loss_lambda_count_mismatch():
     main, g = random_pg(rng)
     with pytest.raises(ValueError):
         joint_loss(main, [main, main, main], g, lambdas=(0.5, 0.25))
+    with pytest.raises(ValueError):  # a third lambda would be ignored
+        joint_loss(main, [main, main], g, lambdas=(0.5, 0.25, 0.9))
 
 
 # --- gradients ----------------------------------------------------------------

@@ -121,7 +121,7 @@ def reference_eval_forward(net, x):
     backward cache, and np.concatenate for each dense-block input."""
     def conv(layer, u):
         return ops.conv3d_forward(u, layer.params["w"].data, layer.params["b"].data,
-                                  layer.stride, layer.dilation, layer.padding)
+                                  1, layer.dilation, layer.padding)
 
     def cbr(unit, u):
         bn = unit.bn

@@ -203,7 +203,7 @@ def test_conv_transpose_output_shape():
     rng = np.random.default_rng(3)
     x = rand(rng, (2, 5, 5, 5))
     w = rand(rng, (2, 3, 2, 2, 2))
-    y = ops.conv_transpose3d_forward(x, w, np.zeros(3), stride=2)
+    y = ops.conv_transpose3d_forward(x, w, np.zeros(3))
     assert y.shape == (3, 10, 10, 10)
 
 
@@ -217,7 +217,7 @@ def test_conv_transpose_is_adjoint_of_strided_conv():
     y = ops.conv3d_forward(x, w, np.zeros(co), stride=s)
     u = rand(rng, y.shape)
     # the conv layout (co, ci, k, k, k) reads as the transpose's (in, out, ...)
-    xt = ops.conv_transpose3d_forward(u, w, np.zeros(ci), stride=s)
+    xt = ops.conv_transpose3d_forward(u, w, np.zeros(ci))
     assert np.allclose(np.sum(y * u), np.sum(x * xt), atol=1e-9)
 
 
@@ -226,13 +226,13 @@ def test_conv_transpose_gradients():
     x = rand(rng, (2, 4, 4, 4))
     w = rand(rng, (2, 3, 2, 2, 2))
     b = rand(rng, (3,))
-    y = ops.conv_transpose3d_forward(x, w, b, stride=2)
+    y = ops.conv_transpose3d_forward(x, w, b)
     r = rand(rng, y.shape)
 
     def loss():
-        return float(np.sum(ops.conv_transpose3d_forward(x, w, b, stride=2) * r))
+        return float(np.sum(ops.conv_transpose3d_forward(x, w, b) * r))
 
-    gx, gw, gb = ops.conv_transpose3d_backward(x, w, r, stride=2)
+    gx, gw, gb = ops.conv_transpose3d_backward(x, w, r)
     assert rel_err(gx, numeric_grad(loss, x)) < 1e-6
     assert rel_err(gw, numeric_grad(loss, w)) < 1e-6
     assert rel_err(gb, numeric_grad(loss, b)) < 1e-6
@@ -285,13 +285,13 @@ def test_conv_transpose_matches_per_tap_oracle(ci, co, dhw, dtype):
     x = rng.normal(size=(ci,) + dhw).astype(dtype)
     w = rng.normal(size=(ci, co, 2, 2, 2)).astype(dtype)
     b = rng.normal(size=co).astype(dtype)
-    y = ops.conv_transpose3d_forward(x, w, b, stride=2)
+    y = ops.conv_transpose3d_forward(x, w, b)
     ref, ref_backward = per_tap_conv_transpose(x, w, b, 2)
     assert y.dtype == dtype and y.shape == ref.shape
     np.testing.assert_array_equal(y, ref)
     g = rng.normal(size=y.shape).astype(dtype)
     for name, a, r in zip(("grad_x", "grad_w", "grad_b"),
-                          ops.conv_transpose3d_backward(x, w, g, stride=2), ref_backward(g)):
+                          ops.conv_transpose3d_backward(x, w, g), ref_backward(g)):
         assert a.dtype == dtype and a.shape == r.shape, name
         np.testing.assert_allclose(a, r, rtol=1e-5, atol=1e-5 * np.abs(r).max(), err_msg=name)
 
@@ -310,19 +310,19 @@ def test_conv_transpose_interleave_matches_reshape_formula(ci, co, dhw, dtype):
     taps += b[:, None]
     ref = taps.reshape(co, 2, 2, 2, d, h, wd).transpose(0, 4, 1, 5, 2, 6, 3)
     ref = ref.reshape(co, 2 * d, 2 * h, 2 * wd)
-    y = ops.conv_transpose3d_forward(x, w, b, stride=2)
+    y = ops.conv_transpose3d_forward(x, w, b)
     assert y.dtype == dtype and y.flags.c_contiguous
     np.testing.assert_array_equal(y, ref)
 
 
-@pytest.mark.parametrize("k,stride", [(2, 1), (3, 2), (2, 3)])
-def test_conv_transpose_needs_kernel_equal_to_stride(k, stride):
+def test_conv_transpose_needs_cubic_kernel():
     x = np.zeros((1, 4, 4, 4))
-    w = np.zeros((1, 1, k, k, k))
-    with pytest.raises(ValueError, match="kernel equal to the stride"):
-        ops.conv_transpose3d_forward(x, w, np.zeros(1), stride=stride)
-    with pytest.raises(ValueError, match="kernel equal to the stride"):
-        ops.conv_transpose3d_backward(x, w, np.zeros((1, 8, 8, 8)), stride=stride)
+    for kernel in [(2, 2, 1), (3, 2, 2), (2, 3, 2)]:
+        w = np.zeros((1, 1) + kernel)
+        with pytest.raises(ValueError, match="cubic kernel"):
+            ops.conv_transpose3d_forward(x, w, np.zeros(1))
+        with pytest.raises(ValueError, match="cubic kernel"):
+            ops.conv_transpose3d_backward(x, w, np.zeros((1, 8, 8, 8)))
 
 
 # --- pooling ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 
+from tbcalib import phantom
 from tbcalib.phantom import (PhantomSpec, RigidPose, _arc_distance_sq, _counter_noise,
                              _drawn_points, _spec_grid_origin, generate_phantom, read_pose,
                              rotation_angle_deg, rotation_from_euler_deg, sample_training_pair,
@@ -110,10 +111,19 @@ def test_spec_validation():
     ("shell_thickness", math.inf),
     ("seed", -3),                        # overflowed in the counter noise
     ("seed", 2 ** 64),
+    ("dims", (160.0, 96, 96)),           # numpy's TypeError at render time
+    ("dims", (160.5, 96, 96)),
 ])
 def test_spec_rejects_what_it_cannot_render(name, value):
     with pytest.raises(ValueError):
         PhantomSpec(**{name: value})
+
+
+def test_spec_accepts_numpy_integer_dims():
+    vol, mask, _ = generate_phantom(small_spec(dims=(np.int64(160), 64, 48)))
+    ref_vol, ref_mask, _ = generate_phantom(small_spec())
+    assert vol.voxels.tobytes() == ref_vol.voxels.tobytes()
+    assert mask.voxels.tobytes() == ref_mask.voxels.tobytes()
 
 
 def test_spec_accepts_the_largest_seed():
@@ -325,9 +335,10 @@ def test_sample_pair_foreground_bias():
     assert hits >= 30
 
 
-def test_sample_pair_no_rotation_is_plain_window():
+def test_sample_pair_no_rotation_is_plain_window(monkeypatch):
+    monkeypatch.setattr(phantom, "MAX_ROTATION_DEG", 0.0)
     vol, mask, _ = generate_phantom(small_spec())
-    cub, lab = sample_training_pair(vol, mask, seed=2, max_rotation_deg=0.0)
+    cub, lab = sample_training_pair(vol, mask, seed=2)
     ox, oy, oz = cub.offset
     np.testing.assert_array_equal(
         cub.values, vol.voxels[oz:oz + 48, oy:oy + 48, ox:ox + 48])

@@ -50,7 +50,7 @@ def test_keep_largest_components():
     binary[2:8, 2:8, 2:8] = True      # 216
     binary[20:24, 20:24, 20:24] = True  # 64
     binary[12:15, 12:15, 12:15] = True  # 27, third largest: dropped
-    out = keep_largest_components(binary, n_keep=2)
+    out = keep_largest_components(binary)
     assert out.sum() == 216 + 64
     assert out[13, 13, 13] == 0
 
@@ -72,6 +72,14 @@ def test_train_zero_iterations_returns_fresh_net():
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
     assert history == []
+
+
+@pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(iterations=-3)],
+                         ids=["batch_size_0", "iterations_-3"])
+def test_train_rejects_sizes_it_would_ignore(kwargs):
+    vol, mask, _ = phantom()
+    with pytest.raises(ValueError):
+        train_network(vol, mask, config=tiny_config(), **kwargs)
 
 
 def test_train_deterministic_in_seed():
@@ -192,6 +200,15 @@ def test_checkpoint_buffer_shape_mismatch_rejected(tmp_path):
     save_checkpoint(SimpleNamespace(named_params=net.named_params,
                                     named_buffers=lambda: wrong), path)
     with pytest.raises(CheckpointError, match="shape mismatch"):
+        load_checkpoint(net, path)
+
+
+def test_checkpoint_missing_buffer_rejected(tmp_path):
+    net = MFFNet(tiny_config(), seed=0)
+    path = tmp_path / "net.mffw"
+    save_checkpoint(SimpleNamespace(named_params=net.named_params,
+                                    named_buffers=lambda: []), path)
+    with pytest.raises(CheckpointError, match="missing buffer"):
         load_checkpoint(net, path)
 
 
