@@ -315,14 +315,22 @@ def test_conv_transpose_interleave_matches_reshape_formula(ci, co, dhw, dtype):
     np.testing.assert_array_equal(y, ref)
 
 
-def test_conv_transpose_needs_cubic_kernel():
+@pytest.mark.parametrize("k,stride", [(2, 1), (3, 2), (2, 3)])
+def test_conv_transpose_needs_kernel_equal_to_stride(k, stride):
+    """The stride is the kernel side: a kernel that mixes sides k and stride
+    is refused, and a cubic kernel of side k upsamples by k."""
     x = np.zeros((1, 4, 4, 4))
-    for kernel in [(2, 2, 1), (3, 2, 2), (2, 3, 2)]:
+    for kernel in [(k, k, stride), (stride, k, k), (k, stride, k)]:
         w = np.zeros((1, 1) + kernel)
         with pytest.raises(ValueError, match="cubic kernel"):
             ops.conv_transpose3d_forward(x, w, np.zeros(1))
         with pytest.raises(ValueError, match="cubic kernel"):
             ops.conv_transpose3d_backward(x, w, np.zeros((1, 8, 8, 8)))
+    w = np.ones((1, 1, k, k, k))
+    y = ops.conv_transpose3d_forward(x, w, np.zeros(1))
+    assert y.shape == (1, 4 * k, 4 * k, 4 * k)
+    gx, gw, _ = ops.conv_transpose3d_backward(x, w, np.ones_like(y))
+    assert gx.shape == x.shape and gw.shape == w.shape
 
 
 # --- pooling ------------------------------------------------------------------
