@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -31,7 +30,7 @@ from scipy import ndimage
 from .losses import dice_from_counts
 from .phantom import RigidPose
 from .segment import MIN_COMPONENT_VOXELS, foreground_box, largest_components
-from .volume import LabelMask, Volume
+from .volume import LabelMask, Volume, usable_cpus
 
 DEFAULT_L0_MM = 0.1
 DEFAULT_MAX_ITER = 50
@@ -294,9 +293,7 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING):
         ndimage.affine_transform(vol.voxels, a[::-1, ::-1], offset, output=out[window],
                                  order=0 if is_mask else 1, mode="constant", cval=fill)
 
-    # The CPUs this process may use; sched_getaffinity exists only on some platforms.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(cpus or 1) as pool:  # starts at most one thread per window
+    with ThreadPoolExecutor(usable_cpus()) as pool:  # starts at most one thread per window
         list(pool.map(sample, windows, offsets))  # re-raises a worker's exception
     return cls(voxels=out, spacing=(spacing,) * 3, origin=lo)
 

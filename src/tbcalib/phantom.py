@@ -5,23 +5,29 @@ tube radius r_c) lying in the z=0 plane, centered at (+/-c, 0, 0).  The scene
 is rigidly moved by a known pose and sampled on a voxel grid; the analytic
 mask is the ground truth against which segmentation and calibration are
 verified.
+
+The background noise is rendered on one thread per CPU, in place on scratch
+buffers reused from chunk to chunk, so the render allocates nothing per chunk.
+Each voxel's noise is keyed on its flat index: a phantom is byte-identical
+for any CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import affine_transform
 
-from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume
+from .volume import CUBOID_SIDE, Cuboid, LabelMask, Volume, usable_cpus
 
 ORTHO_TOL = 1e-9
 FOREGROUND_BIAS = 0.75  # share of training windows centered on a foreground voxel
 MAX_ROTATION_DEG = 5.0  # largest training rotation about each axis
-RENDER_CHUNK = 1 << 18  # voxels per chunk of a render pass (bounds its float64 temporaries)
+RENDER_CHUNK = 1 << 15  # voxels per chunk of a render pass: 1 MiB of noise scratch fits an L2
 
 
 @dataclass
@@ -171,21 +177,31 @@ def _arc_distance_sq(q, center_x, r_major, span_deg):
     return np.where(in_arc, d_arc, d_end)
 
 
-def _counter_noise(seed: int, indices: np.ndarray, amplitude: float) -> np.ndarray:
+def _counter_noise(seed: int, indices: np.ndarray, amplitude: float, *, out=None,
+                   scratch=None) -> np.ndarray:
     """Order-independent uniform noise in [-a, +a] keyed on (seed, voxel index).
 
     splitmix64-style mix so the value for a voxel depends only on its flat
-    index, never on generation order.
+    index, never on generation order.  Every step runs in place: on `out`
+    (float64, shaped like `indices`) and on `scratch`, two uint64 arrays of
+    that shape, each allocated here when not given.
     """
-    with np.errstate(over="ignore"):
-        x = indices.astype(np.uint64) + np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15)
-        x = np.uint64(0x9E3779B97F4A7C15) + x
-        z = x
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    u = z.astype(np.float64) / float(2 ** 64)  # [0, 1)
-    return (2.0 * u - 1.0) * amplitude
+    x, t = scratch if scratch is not None else (np.empty(indices.shape, np.uint64)
+                                                for _ in range(2))
+    out = np.empty(indices.shape) if out is None else out
+    # Cast first: an int64 array plus a uint64 scalar would promote to float64.
+    np.copyto(x, indices, casting="unsafe")
+    golden = 0x9E3779B97F4A7C15
+    np.add(x, np.uint64((seed * golden + golden) % 2 ** 64), out=x)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None)):
+        np.right_shift(x, np.uint64(shift), out=t)
+        np.bitwise_xor(x, t, out=x)
+        if factor is not None:
+            np.multiply(x, np.uint64(factor), out=x)
+    np.divide(x, float(2 ** 64), out=out)  # [0, 1)
+    np.multiply(out, 2.0, out=out)
+    np.subtract(out, 1.0, out=out)
+    return np.multiply(out, amplitude, out=out)
 
 
 def _drawn_points(spec: PhantomSpec, center_x: float, n=720):
@@ -205,7 +221,11 @@ def generate_phantom(spec: PhantomSpec):
 
     The mask is computed analytically per voxel center and is noise-free;
     the volume adds counter-based uniform noise, keyed on the flat voxel
-    index over the whole grid.  Each canal's arc distance is computed only
+    index over the whole grid.  The background noise runs on one thread per
+    CPU, each over a contiguous index range in RENDER_CHUNK-voxel chunks,
+    in place on scratch allocated once per render by the calling thread;
+    since each value depends only on its index, no byte depends on the
+    chunking or the thread count.  Each canal's arc distance is computed only
     inside the box of its drawn points (`_drawn_points`) widened by tube +
     shell + one voxel; every voxel outside both boxes is background.
     Raises if either skewed canal comes within 2*r_c of the volume boundary.
@@ -233,9 +253,28 @@ def generate_phantom(spec: PhantomSpec):
 
     count = nx * ny * nz
     vol = np.empty(count, dtype=np.float32)
-    for start in range(0, count, RENDER_CHUNK):
-        stop = min(start + RENDER_CHUNK, count)
-        vol[start:stop] = level(spec.background_intensity, np.arange(start, stop, dtype=np.uint64))
+    if spec.noise_amplitude > 0:
+        # Contiguous index ranges, one per worker, each walked in chunks
+        # through scratch allocated here: the workers allocate nothing.
+        workers = min(usable_cpus(), -(-count // RENDER_CHUNK))
+        edges = [count * i // workers for i in range(workers + 1)]
+        side = min(RENDER_CHUNK, count)
+        buffers = [(np.arange(begin, begin + side, dtype=np.uint64), np.empty(side, np.uint64),
+                    np.empty(side, np.uint64), np.empty(side)) for begin in edges[:-1]]
+
+        def fill(begin, end, bufs):
+            idx, x, t, noise = bufs  # idx holds the flat indices of the current chunk
+            for start in range(begin, end, RENDER_CHUNK):
+                n = min(RENDER_CHUNK, end - start)
+                _counter_noise(spec.seed, idx[:n], spec.noise_amplitude, out=noise[:n],
+                               scratch=(x[:n], t[:n]))
+                np.add(noise[:n], spec.background_intensity, out=vol[start:start + n])
+                np.add(idx, np.uint64(RENDER_CHUNK), out=idx)
+
+        with ThreadPoolExecutor(workers) as pool:  # numpy's ufuncs release the GIL
+            list(pool.map(fill, edges[:-1], edges[1:], buffers))
+    else:
+        vol.fill(spec.background_intensity)
 
     inv = spec.skew.inverse()
     axes = [o + np.arange(n) * s for o, n, s in zip(origin, dims, sp)]  # voxel centers, x y z

@@ -22,7 +22,7 @@ def train_network(vol: Volume, mask: LabelMask,
                   iterations: int = 500,
                   lr: float = 1e-3,
                   seed: int = 0,
-                  batch_size: int = 2,
+                  batch_size: int | None = None,
                   config: NetworkConfig | None = None,
                   fixed_offset=None,
                   log_path=None,
@@ -32,23 +32,31 @@ def train_network(vol: Volume, mask: LabelMask,
     The volume is normalized once and every window is taken from the
     result.  With `fixed_offset` the same window is used every step with
     no augmentation (single-cuboid overfitting); otherwise foreground-biased
-    augmented pairs are drawn per step.  `stop_dsc` enables early stopping
-    once the thresholded prediction of the training cuboid reaches that
-    Dice score (checked every CHECK_EVERY iterations).
+    augmented pairs are drawn per step.  `batch_size` defaults to 2 pairs
+    per step, or to 1 with `fixed_offset`, which takes no other value.
+    `stop_dsc` enables early stopping once the thresholded prediction of the
+    training cuboid reaches that Dice score (checked every CHECK_EVERY
+    iterations).
+
+    The result is bit-reproducible in `seed` for a fixed CPU count only: the
+    BLAS thread count sets the summation order of the conv GEMMs.
 
     Returns (net, history) where history is a list of per-iteration
     breakdown dicts (CSV-logged to log_path when given).
     """
+    if batch_size is None:
+        batch_size = 1 if fixed_offset is not None else 2
     if iterations < 0 or batch_size < 1:
         raise ValueError(f"need iterations >= 0 and batch_size >= 1, "
                          f"got {iterations} and {batch_size}")
+    if fixed_offset is not None and batch_size > 1:
+        raise ValueError(f"fixed_offset trains on one window, got batch_size {batch_size}")
     net = MFFNet(config, seed=seed)
     opt = Adam(net.named_params(), lr=lr)
     norm = normalize_intensity(vol)
     if fixed_offset is not None:
         fixed_pair = (extract_cuboid(norm, fixed_offset).values,
                       extract_cuboid(mask, fixed_offset).values.astype(np.float64))
-    nb = 1 if fixed_offset is not None else batch_size
 
     history = []
     log_file = open(log_path, "w") if log_path else None
@@ -57,7 +65,7 @@ def train_network(vol: Volume, mask: LabelMask,
             net.zero_grad()
             breakdown_acc = None
             reached = None
-            for b in range(nb):
+            for b in range(batch_size):
                 if fixed_offset is not None:
                     x, g = fixed_pair
                 else:
@@ -78,11 +86,11 @@ def train_network(vol: Volume, mask: LabelMask,
                 if stop_dsc is not None and (it + 1) % CHECK_EVERY == 0:
                     reached = dsc_metric(main[0] >= 0.5, g >= 0.5)
             for k in breakdown_acc:
-                breakdown_acc[k] /= nb
+                breakdown_acc[k] /= batch_size
             # Average gradients over the batch before the update.
-            if nb > 1:
+            if batch_size > 1:
                 for _, p in net.named_params():
-                    p.grad /= nb
+                    p.grad /= batch_size
             opt.step()
             breakdown_acc["iteration"] = it
             history.append(breakdown_acc)

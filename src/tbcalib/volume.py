@@ -59,6 +59,12 @@ def parse_key_values(text: str) -> dict:
     return kv
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may use; sched_getaffinity exists only on some platforms."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _check_geometry(shape_zyx, spacing, origin):
     if len(shape_zyx) != 3:
         raise ValueError(f"voxel array must be 3D, got shape {shape_zyx}")
@@ -70,6 +76,8 @@ def _check_geometry(shape_zyx, spacing, origin):
         raise ValueError("spacing and origin must be 3-vectors")
     if not np.all(np.isfinite(spacing)) or np.any(spacing <= 0):
         raise BadSpacingError(f"spacing must be positive and finite, got {spacing}")
+    if not np.all(np.isfinite(origin)):
+        raise ValueError(f"origin must be finite, got {origin}")
     return spacing, origin
 
 
@@ -243,7 +251,7 @@ def read_mvol(path):
     try:
         return cls(voxels=voxels.reshape(nz, ny, nx).copy(), spacing=(sx, sy, sz),
                    origin=(ox, oy, oz))
-    except ValueError as exc:  # a mask label other than 0/1
+    except ValueError as exc:  # a mask label other than 0/1, or a non-finite origin
         raise MvolError(f"{path}: {exc}") from None
 
 

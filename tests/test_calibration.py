@@ -427,7 +427,7 @@ def test_resample_slabs_and_workers_are_harmless(monkeypatch, planes):
         default = {name: cal.resample(v, pose, spacing=0.5) for name, v in inputs.items()}
         for cpus in (1, 3):
             with monkeypatch.context() as m:
-                m.setattr(cal.os, "sched_getaffinity", lambda _pid, n=cpus: set(range(n)))
+                m.setattr(cal, "usable_cpus", lambda n=cpus: n)
                 for name, v in inputs.items():
                     np.testing.assert_array_equal(cal.resample(v, pose, spacing=0.5).voxels,
                                                   default[name].voxels,

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +305,68 @@ def test_render_matches_per_slice_oracle(kw):
     assert vol.voxels.tobytes() == ref_vol.tobytes()
     assert mask.voxels.tobytes() == ref_mask.tobytes()
     assert mask.foreground_count() > 0
+
+
+def reference_noise(seed, indices, amplitude):
+    """splitmix64 written out with fresh temporaries at every step."""
+    with np.errstate(over="ignore"):
+        z = indices.astype(np.uint64) + np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15)
+        z = np.uint64(0x9E3779B97F4A7C15) + z
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (2.0 * (z.astype(np.float64) / float(2 ** 64)) - 1.0) * amplitude
+
+
+@pytest.mark.parametrize("shape", [(1000,), (25, 40)], ids=["1d", "2d"])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_counter_noise_any_dtype_shape_and_scratch(shape, seed):
+    flat = np.arange(10 ** 6, 10 ** 6 + math.prod(shape)).reshape(shape)
+    want = reference_noise(seed, flat, 300.0)
+    for dtype in (np.int64, np.uint64, np.int32):
+        idx = flat.astype(dtype)
+        assert _counter_noise(seed, idx, 300.0).tobytes() == want.tobytes()
+        out = np.empty(shape)
+        scratch = (np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+        got = _counter_noise(seed, idx, 300.0, out=out, scratch=scratch)
+        assert got is out and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kw", [dict(noise_amplitude=300.0, seed=3, skew=SKEW),
+                                dict(dims=(37, 29, 23), half_separation=5.0, major_radius=2.0,
+                                     tube_radius=0.4, shell_thickness=0.5,
+                                     noise_amplitude=40.0, seed=2 ** 64 - 1)],
+                         ids=["default-noisy", "odd-grid"])
+def test_render_independent_of_chunk_and_cpu_count(kw, monkeypatch):
+    spec = PhantomSpec(**kw)
+    ref_vol, ref_mask, _ = generate_phantom(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' chunks as finely as possible
+    try:
+        for chunk, cpus in [(1000, 1), (1000, 3), (phantom.RENDER_CHUNK, 1),
+                            (phantom.RENDER_CHUNK, 3)]:
+            monkeypatch.setattr(phantom, "RENDER_CHUNK", chunk)
+            monkeypatch.setattr(phantom, "usable_cpus", lambda: cpus)
+            vol, mask, _ = generate_phantom(spec)
+            assert vol.voxels.tobytes() == ref_vol.voxels.tobytes(), (chunk, cpus)
+            assert mask.voxels.tobytes() == ref_mask.voxels.tobytes(), (chunk, cpus)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_noisy_render_allocates_only_outputs_and_scratch():
+    spec = PhantomSpec(noise_amplitude=300.0, seed=4)
+    generate_phantom(spec)  # warm-up: first-call allocations of numpy and the thread pool
+    count = math.prod(spec.dims)
+    workers = min(phantom.usable_cpus(), -(-count // phantom.RENDER_CHUNK))
+    scratch = workers * 4 * 8 * phantom.RENDER_CHUNK  # index, two uint64, one float64
+    tracemalloc.start()
+    try:
+        generate_phantom(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * (4 + 1) + scratch + 2 ** 20
 
 
 # --- training-pair sampling ------------------------------------------------

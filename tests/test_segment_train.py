@@ -74,8 +74,9 @@ def test_train_zero_iterations_returns_fresh_net():
     assert history == []
 
 
-@pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(iterations=-3)],
-                         ids=["batch_size_0", "iterations_-3"])
+@pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(iterations=-3),
+                                    dict(batch_size=2, fixed_offset=(0, 0, 0))],
+                         ids=["batch_size_0", "iterations_-3", "batch_size_2_fixed_offset"])
 def test_train_rejects_sizes_it_would_ignore(kwargs):
     vol, mask, _ = phantom()
     with pytest.raises(ValueError):

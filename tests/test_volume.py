@@ -156,6 +156,19 @@ def test_mvol_bad_spacing(tmp_path):
         read_mvol(p)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", [0, 2], ids=["ox", "oz"])
+def test_mvol_non_finite_origin(tmp_path, axis, value):
+    v = Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32))
+    p = tmp_path / "origin.mvol"
+    write_mvol(v, p)
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<f", raw, 32 + 4 * axis, value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(MvolError, match="origin must be finite"):
+        read_mvol(p)
+
+
 def test_mvol_zero_dimension(tmp_path):
     v = Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32))
     p = tmp_path / "zero.mvol"
@@ -240,6 +253,14 @@ def test_read_raw_stack_slice_count_mismatch(tmp_path):
 def test_read_raw_stack_missing_key(tmp_path):
     (tmp_path / "stack.txt").write_text("nx=2\nny=2\nsx=1\nsy=1\nsz=1\n")
     with pytest.raises(ValueError, match="missing key 'nz'"):
+        read_raw_stack(tmp_path)
+
+
+@pytest.mark.parametrize("origin", ["ox=nan", "oy=inf", "oz=-inf"])
+def test_read_raw_stack_non_finite_origin(tmp_path, origin):
+    (tmp_path / "stack.txt").write_text(f"nx=2\nny=2\nnz=1\nsx=1\nsy=1\nsz=1\n{origin}\n")
+    np.zeros(4, dtype="<f4").tofile(tmp_path / "only.raw")
+    with pytest.raises(ValueError, match="origin must be finite"):
         read_raw_stack(tmp_path)
 
 
