@@ -7,6 +7,9 @@ as defaults, so argparse casts and overrides both sources alike (`config` and
 the required options are flags only).  `phantom` writes the options it ran
 with to `spec.txt` in that same format, so `phantom --config <dir>/spec.txt`
 renders the phantom again byte for byte.
+
+A malformed `.mvol` or `.mffw` input ends any stage with `error: <message>`
+on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ import numpy as np
 
 from . import calibration as cal
 from .losses import DEFAULT_LAMBDAS, dsc_metric
-from .nn import MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
+from .nn import CheckpointError, MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg, write_pose)
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
 from .train import train_network
-from .volume import parse_key_values, read_mvol, write_mvol
+from .volume import MvolError, parse_key_values, read_mvol, write_mvol
 
 
 # Parsed-argument keys that a --config file may not set: the parser's own
@@ -312,7 +315,11 @@ def main(argv=None) -> int:
                 command.error(f"{args.config}: unknown config key {key!r}")
         command.set_defaults(**config)
         args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MvolError, CheckpointError) as exc:  # a malformed input file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,13 @@ batch norm and ReLU work in place on their input, which the caller hands
 over.  Backward accumulates parameter gradients into Param.grad and
 returns the gradient with respect to the input.
 
-Every convolution has stride 1 and "same" padding, dilation·(kernel // 2)
-per side, so it keeps the spatial size.  Every pool has stride 2 and
-padding (kernel - 1) // 2 per side, so it halves an even spatial size.
+Every convolution has stride 1 and reads a zero border of
+dilation·(kernel // 2) voxels per side, so it keeps the spatial size.  The
+op pads a copy of the input unless the caller hands over an input that
+carries the border already (`border`, as in a `bordered` buffer), and the
+conv layers write their output into the caller's `out` when it is given.
+Every pool has stride 2 and padding (kernel - 1) // 2 per side, so it
+halves an even spatial size.
 """
 
 from __future__ import annotations
@@ -42,6 +46,18 @@ class Layer:
         self.buffers: dict[str, np.ndarray] = {}
 
 
+def bordered(channels, spatial, dtype):
+    """Zeros of shape (channels, D + 2, H + 2, W + 2): a buffer whose
+    interior layers write through `out=` and whose one-voxel border stays
+    zero, so a 3^3 conv reads it with no padded copy."""
+    return np.zeros((channels,) + tuple(n + 2 for n in spatial), dtype=dtype)
+
+
+def interior(a, border=1):
+    """a without its outer `border` voxels on each spatial side."""
+    return a[:, border:-border, border:-border, border:-border] if border else a
+
+
 class Conv3d(Layer):
     def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, dtype=np.float32):
         super().__init__()
@@ -54,10 +70,14 @@ class Conv3d(Layer):
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
         self._x = None
 
-    def forward(self, x, training):
-        self._x = x if training else None
+    def forward(self, x, training, out=None, border=0):
+        """x carries a zero border `border` voxels wide that the caller put
+        there: the conv reads it as padding and leaves any excess out of
+        its output.  The backward pass sees x without it."""
+        self._x = interior(x, border) if training else None
         return ops.conv3d_forward(x, self.params["w"].data, self.params["b"].data,
-                                  dilation=self.dilation, padding=self.padding)
+                                  dilation=self.dilation, padding=self.padding - border,
+                                  out=out)
 
     def backward(self, gy):
         gx, gw, gb = ops.conv3d_backward(self._x, self.params["w"].data, gy,
@@ -76,9 +96,10 @@ class ConvTranspose3d(Layer):
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
         self._x = None
 
-    def forward(self, x, training):
+    def forward(self, x, training, out=None):
         self._x = x if training else None
-        return ops.conv_transpose3d_forward(x, self.params["w"].data, self.params["b"].data)
+        return ops.conv_transpose3d_forward(x, self.params["w"].data, self.params["b"].data,
+                                            out=out)
 
     def backward(self, gy):
         gx, gw, gb = ops.conv_transpose3d_backward(self._x, self.params["w"].data, gy)
@@ -178,9 +199,16 @@ class ConvBnRelu(Layer):
         self.bn = BatchNorm3d(out_ch, dtype=dtype)
         self.relu = ReLU()
 
-    def forward(self, x, training):
-        return self.relu.forward(
-            self.bn.forward(self.conv.forward(x, training), training), training)
+    def forward(self, x, training, out=None, border=0):
+        """`border` as in Conv3d.forward.  With `out`, the result lands
+        there: in eval the conv writes it and batch norm and ReLU work in
+        place; in training, whose arrays backward keeps, it is copied in."""
+        y = self.relu.forward(self.bn.forward(self.conv.forward(
+            x, training, None if training else out, border), training), training)
+        if out is None or y is out:
+            return y
+        out[...] = y
+        return out
 
     def backward(self, gy):
         return self.conv.backward(self.bn.backward(self.relu.backward(gy)))
@@ -199,9 +227,9 @@ class FusionModule(Layer):
         self.branches = branches
         self.reduce = reduce
 
-    def forward(self, x, training):
+    def forward(self, x, training, out=None):
         cat = np.concatenate([b.forward(x, training) for b in self.branches], axis=0)
-        return self.reduce.forward(cat, training)
+        return self.reduce.forward(cat, training, out)
 
     def backward(self, gy):
         parts = np.split(self.reduce.backward(gy), len(self.branches))

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..losses import DEFAULT_LAMBDAS
 from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, FusionModule,
-                     Layer, MaxPool3d, Sigmoid, named_layers)
+                     Layer, MaxPool3d, Sigmoid, bordered, interior, named_layers)
 
 
 @dataclass
@@ -52,8 +52,14 @@ class NetworkConfig:
 class DenseBlock(Layer):
     """n layers of 3^3 conv + BN + ReLU, each appending its g output
     channels to the running feature stack; a 1^3 conv reduces the stack
-    to out_ch.  The stack is one array of pre_reduction_channels channels,
-    and layer i reads its first in_ch + i*g channels in place."""
+    to out_ch.
+
+    The stack is one zero-bordered array (see `bordered`) of at least
+    pre_reduction_channels channels.  Layer i reads its first in_ch + i*g
+    channels in place, border and all, as its padding, and writes its g
+    channels into the interior behind them, so the border stays zero.  The
+    reduction reads the whole bordered stack and leaves the border out of
+    its output."""
 
     def __init__(self, in_ch, out_ch, rng, growth, n_layers, dtype=np.float32):
         super().__init__()
@@ -68,13 +74,21 @@ class DenseBlock(Layer):
         self.reduce = ConvBnRelu(ch, out_ch, 1, rng, dtype=dtype)
 
     def forward(self, x, training):
-        stack = np.empty((self.pre_reduction_channels,) + x.shape[1:], dtype=x.dtype)
+        """x: (in_ch, D, H, W), copied into a new stack."""
+        stack = bordered(self.pre_reduction_channels, x.shape[1:], x.dtype)
+        interior(stack)[:self.in_ch] = x
+        return self.grow(stack, training)
+
+    def grow(self, stack, training, out=None):
+        """Run the block on a stack whose interior holds the input in its
+        first in_ch channels; the reduction's result is written into `out`
+        when it is given, which may overlap the stack."""
+        inner = interior(stack)
         ch = self.in_ch
-        stack[:ch] = x
         for layer in self.layers:
-            stack[ch:ch + self.growth] = layer.forward(stack[:ch], training)
+            layer.forward(stack[:ch], training, out=inner[ch:ch + self.growth], border=1)
             ch += self.growth
-        return self.reduce.forward(stack, training)
+        return self.reduce.forward(stack[:ch], training, out, border=1)
 
     def backward(self, gy):
         # The stack's channel offsets of features 1..L (feature 0 is the input).
@@ -112,10 +126,10 @@ class MultiPoolModule(FusionModule):
             [MaxPool3d(2), AvgPool3d(2), MaxPool3d(3), AvgPool3d(3)],
             ConvBnRelu(4 * channels, channels, 1, rng, dtype=dtype))
 
-    def forward(self, x, training):
+    def forward(self, x, training, out=None):
         if any(n % 2 for n in x.shape[1:]):
             raise ValueError(f"multi-pool needs even spatial dims, got {x.shape[1:]}")
-        return super().forward(x, training)
+        return super().forward(x, training, out)
 
 
 class MFFNet:
@@ -182,6 +196,16 @@ class MFFNet:
         Returns (main, [aux_12, aux_24]) probability maps at input resolution.
         Only a training forward keeps what backward needs; an eval forward
         keeps nothing and drops each stage's input once it is used.
+
+        Each dense block's stack and each decoder conv's input are
+        zero-bordered (see `bordered`), so their 3^3 convs read them in
+        place.  The stem and the first multi-pool write into the stacks'
+        interiors.  Each block's reduction writes the skip connection
+        straight into the second half of its decoder input, and the
+        upsampling writes the first half.  An eval forward builds each
+        decoder input in its block's stack, dead once the block is reduced;
+        a training forward keeps that stack for backward and gives the
+        decoder input a buffer of its own.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
@@ -189,24 +213,35 @@ class MFFNet:
         if any(n % 4 for n in x.shape[1:]):
             raise ValueError(f"spatial dims must be divisible by 4, got {x.shape[1:]}")
         self._forward_done = False
-        t = self.stem.forward(x, training)
+        c1, c2, dt = self._c1, self._c2, self.dtype
+        full = x.shape[1:]
+        half = tuple(n // 2 for n in full)
+        stack1 = bordered(max(self.db1.pre_reduction_channels, 2 * c1), full, dt)
+        self.stem.forward(x, training, out=interior(stack1)[:self.db1.in_ch])
         del x
-        s1 = self.db1.forward(t, training)
-        del t
-        s2 = self.db2.forward(self.mp1.forward(s1, training), training)
+        cat1 = bordered(2 * c1, full, dt) if training else stack1
+        s1 = self.db1.grow(stack1, training, out=interior(cat1)[c1:2 * c1])
+        del stack1
+        stack2 = bordered(max(self.db2.pre_reduction_channels, 2 * c2), half, dt)
+        self.mp1.forward(s1, training, out=interior(stack2)[:self.db2.in_ch])
+        del s1
+        cat2 = bordered(2 * c2, half, dt) if training else stack2
+        s2 = self.db2.grow(stack2, training, out=interior(cat2)[c2:2 * c2])
+        del stack2
         m = self.dcm.forward(self.mp2.forward(s2, training), training)
+        del s2
         aux12 = self.head12_sig.forward(self.head12_up2.forward(self.head12_up1.forward(
             self.head12_conv.forward(m, training), training), training), training)
-        cat = np.concatenate([self.up1.forward(m, training), s2], axis=0)
-        del m, s2
-        d1 = self.dec1.forward(cat, training)
-        del cat
+        self.up1.forward(m, training, out=interior(cat2)[:c2])
+        del m
+        d1 = self.dec1.forward(cat2[:2 * c2], training, border=1)
+        del cat2
         aux24 = self.head24_sig.forward(self.head24_up.forward(
             self.head24_conv.forward(d1, training), training), training)
-        cat = np.concatenate([self.up2.forward(d1, training), s1], axis=0)
-        del d1, s1
-        d2 = self.dec2.forward(cat, training)
-        del cat
+        self.up2.forward(d1, training, out=interior(cat1)[:c1])
+        del d1
+        d2 = self.dec2.forward(cat1[:2 * c1], training, border=1)
+        del cat1
         main = self.out_sig.forward(self.out_conv.forward(d2, training), training)
         self._forward_done = training
         return main, [aux12, aux24]

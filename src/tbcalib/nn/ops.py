@@ -8,11 +8,12 @@ Conv3d runs on a flat padded layout: the zero-padded input (C, Dp, Hp, Wp)
 is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw) is the shift
 dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every tap is a
 plain slice.  The output is computed on the padded layout, one chunk of n
-flat positions at a time, and its valid region cropped out.  The forward
-pass stacks only the k depth-shifted slabs of the input into `cols`, of
-shape (k·Ci, n + span), span being the largest in-plane shift; one GEMM
-with the kernel laid out as (k²·Co, k·Ci) gives a partial output for each
-in-plane tap (kh, kw), and the chunk is the sum of the k² partials, each
+flat positions at a time, and its valid region cropped out, bias added,
+into a new array or the caller's `out`.  The forward pass stacks only
+the k depth-shifted slabs of the input into `cols`, of shape
+(k·Ci, n + span), span being the largest in-plane shift; one GEMM with the
+kernel laid out as (k²·Co, k·Ci) gives a partial output for each in-plane
+tap (kh, kw), and the chunk is the sum of the k² partials, each
 read at its shift dilation·(kh·Wp + kw) (the im2col/kn2row hybrid of
 Anderson et al., arXiv:1709.03395).  That copies k·Ci rows and writes
 k²·Co partial rows in place of the k³·Ci rows of a full im2col, so it is
@@ -28,6 +29,13 @@ stride-1 output, and its gradient is grad_out scattered to every s-th
 position with zeros between.  COLS_BYTES bounds `cols` and the partial
 buffer together, whatever the volume size.
 
+The border may be the caller's.  An input that already carries its zero
+border is passed with padding 0 and read in place, with no padded copy; a
+negative padding leaves the outer -padding voxels of the input out, as a
+1³ conv does on such an input.  Both conv forward passes write their
+output only after their last read of the input, so `out` may lie inside
+the input.
+
 Pooling never pads: each kernel tap reads the outputs whose input position
 lies inside the volume, a strided slice per axis, which is all that padding
 would have let through.  A max pool at inference computes no argmax and
@@ -42,8 +50,9 @@ The transposed convolution's stride is its kernel side, so its output
 windows never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward
 pass is one GEMM wᵀ @ x giving every (output channel, tap) row at once,
 then each tap's rows are written, bias added, into their strided slice of
-the upsampled grid; the backward pass undoes that interleave on grad_out
-and makes one GEMM each for grad_x and grad_w.
+the upsampled grid, in a new array or the caller's `out`; the backward pass
+undoes that interleave on grad_out and makes one GEMM each for grad_x and
+grad_w.
 
 The forward functions return what their backward pass needs.  Inference
 needs none of it: `batchnorm_inference_inplace` is the running-statistics
@@ -121,10 +130,20 @@ def _shift_add(part, shifts, out):
         out += part[t * r:(t + 1) * r, s:s + n]
 
 
-def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
+def _check_out(out, shape, dtype):
+    """Raise unless out is None or an array of this shape and dtype."""
+    if out is not None and (out.shape != shape or out.dtype != dtype):
+        raise ValueError(f"out must be a {np.dtype(dtype)} array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+
+
+def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None):
     """Dilated cross-correlation with bias.
 
-    x: (Ci, D, H, W); w: (Co, Ci, k, k, k); b: (Co,).
+    x: (Ci, D, H, W); w: (Co, Ci, k, k, k); b: (Co,).  A negative padding
+    leaves out the outer -padding voxels of x, a border the caller put
+    there.  The result is written into `out` when it is given, and
+    returned.
     """
     ci, d, h, wd = x.shape
     co, ci_w, k, k2, k3 = w.shape
@@ -132,12 +151,15 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
     if not (k == k2 == k3):
         raise ValueError("kernel must be cubic")
-    conv3d_output_shape((d, h, wd), k, stride, dilation, padding)  # stride divides
+    shape = (co,) + conv3d_output_shape((d, h, wd), k, stride, dilation, padding)
+    _check_out(out, shape, np.result_type(x, w, b))
     d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
-    xf, (_, hp, wp), depth, plane = _flat_padded(x, padding, k, dilation)
-    n_out = xf.shape[1] - depth[-1] - plane[-1]  # last tap still in range
+    xf, (_, hp, wp), depth, plane = _flat_padded(x, max(padding, 0), k, dilation)
+    q = max(-padding, 0)
+    xf = xf[:, (q * hp + q) * wp + q:]  # from the first output's corner
+    n_out = min(d1 * hp * wp, xf.shape[1] - depth[-1] - plane[-1])  # last tap still in range
     if k == 1:
-        yf = w.reshape(co, ci) @ xf
+        yf = w.reshape(co, ci) @ xf[:, :n_out]
     else:
         yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
         if (k * k - 1) * ci > 2 * k * co:  # depth-stacked moves fewer rows
@@ -152,7 +174,8 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0):
                 np.matmul(wm, cols, out=yf[:, a:e])
         del cols, part  # free before the crop copy; both view the chunk buffers
     del xf
-    return yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride] + b[:, None, None, None]
+    y = yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride]
+    return np.add(y, b[:, None, None, None], out=out)
 
 
 def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
@@ -194,19 +217,22 @@ def _check_transpose_kernel(w):
     return k
 
 
-def conv_transpose3d_forward(x, w, b):
+def conv_transpose3d_forward(x, w, b, out=None):
     """Transposed convolution (adjoint of a strided conv) whose stride is
     the kernel side k.
 
-    x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial n*k.
+    x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial n*k, written
+    into `out` when it is given, and returned.
     """
     ci, d, h, wd = x.shape
     ci_w, co = w.shape[:2]
     if ci_w != ci:
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
     k = _check_transpose_kernel(w)
+    shape = (co, d * k, h * k, wd * k)
+    _check_out(out, shape, np.result_type(x, w, b))
     taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, k, k, k, d, h, wd)
-    y = np.empty((co, d * k, h * k, wd * k), dtype=taps.dtype)
+    y = np.empty(shape, dtype=taps.dtype) if out is None else out
     bias = b[:, None, None, None]
     for kd, kh, kw in np.ndindex(k, k, k):
         np.add(taps[:, kd, kh, kw], bias, out=y[:, kd::k, kh::k, kw::k])

@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from tbcalib import cli
 from tbcalib.cli import _per_component_dsc, main
+from tbcalib.nn import MFFNet, save_checkpoint
 from tbcalib.phantom import read_pose
 from tbcalib.train import train_network
 from tbcalib.volume import LabelMask, read_mvol, write_mvol
@@ -358,3 +360,48 @@ def test_config_accepts_flag_spelling_of_keys(tmp_path):
                "--skew-euler", "5,-4,8", "--skew-translation", "1,0,-1") == 0
     assert (tmp_path / "a" / "pose.txt").read_text() == (tmp_path / "b" / "pose.txt").read_text()
     assert not np.allclose(read_pose(tmp_path / "a" / "pose.txt").rotation, np.eye(3))
+
+
+@pytest.fixture(scope="module")
+def nan_origin_mvol(tmp_path_factory):
+    """A well-formed volume file whose header origin x is NaN."""
+    path = tmp_path_factory.mktemp("bad") / "nan_origin.mvol"
+    write_mvol(LabelMask(voxels=np.zeros((4, 4, 4), dtype=np.uint8)), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 32, np.nan)  # origin x, bytes 32-35
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "net.mffw"
+    save_checkpoint(MFFNet(), path)
+    return path
+
+
+@pytest.mark.parametrize("stage", ["segment-threshold", "train", "infer", "calibrate", "evaluate"])
+def test_nan_origin_volume_exits_2(stage, nan_origin_mvol, checkpoint_path, tmp_path, capsys):
+    bad, out = nan_origin_mvol, tmp_path / "out"
+    argv = {
+        "segment-threshold": ("--input", bad, "--output", out, "--band", "300,900"),
+        "train": ("--input", bad, "--mask", bad, "--output", out, "--iterations", "1"),
+        "infer": ("--checkpoint", checkpoint_path, "--input", bad, "--output", out),
+        "calibrate": ("--input", bad, "--mask", bad, "--output", out),
+        "evaluate": ("--pred", bad, "--truth", bad),
+    }[stage]
+    assert run(stage, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "origin must be finite" in err
+    assert not out.exists()
+
+
+def test_infer_truncated_checkpoint_exits_2(small_phantom_dir, checkpoint_path, tmp_path, capsys):
+    ckpt = tmp_path / "cut.mffw"
+    ckpt.write_bytes(checkpoint_path.read_bytes()[:-3])
+    out = tmp_path / "pred.mvol"
+    assert run("infer", "--checkpoint", ckpt, "--input", small_phantom_dir / "volume.mvol",
+               "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "payload truncated" in err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,6 +196,69 @@ def test_conv_peak_allocation_is_bounded_by_cols_budget():
         finally:
             tracemalloc.stop()
         assert peak <= bounds[name] + ops.COLS_BYTES + slack, (name, peak / 1e6)
+
+
+@pytest.mark.parametrize("k,stride,dilation,padding", [
+    (1, 1, 1, -1), (3, 1, 1, -1), (3, 2, 1, -1), (3, 1, 2, -2)])
+def test_conv_negative_padding_leaves_the_caller_border_out(k, stride, dilation, padding):
+    """A negative padding reads x without its outer -padding voxels: the
+    per-tap conv of the cropped input, unpadded."""
+    rng = np.random.default_rng(20)
+    x = rand(rng, (3, 9, 11, 13))
+    w = rand(rng, (2, 3, k, k, k))
+    b = rand(rng, (2,))
+    q = -padding
+    ref, _ = per_tap_conv(x[:, q:-q, q:-q, q:-q], w, b, stride, dilation, 0)
+    y = ops.conv3d_forward(x, w, b, stride, dilation, padding)
+    assert y.shape == ref.shape
+    np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+def out_cases(dtype):
+    """call(out=...) for each conv path and the transposed conv, on fixed
+    random inputs of the given dtype."""
+    rng = np.random.default_rng(19)
+
+    def arr(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    x, xs = arr(4, 6, 7, 8), arr(4, 7, 9, 5)
+    return {
+        "depth_stacked": partial(ops.conv3d_forward, x, arr(2, 4, 3, 3, 3), arr(2), 1, 1, 1),
+        "full_im2col": partial(ops.conv3d_forward, x, arr(6, 4, 3, 3, 3), arr(6), 1, 2, 2),
+        "one_voxel_kernel": partial(ops.conv3d_forward, x, arr(3, 4, 1, 1, 1), arr(3)),
+        "stride_2": partial(ops.conv3d_forward, xs, arr(3, 4, 3, 3, 3), arr(3), 2, 1, 1),
+        "caller_border": partial(ops.conv3d_forward, x, arr(3, 4, 1, 1, 1), arr(3), 1, 1, -1),
+        "transposed": partial(ops.conv_transpose3d_forward, x, arr(4, 3, 2, 2, 2), arr(3)),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(out_cases(np.float32)))
+def test_out_view_gets_the_bits_of_the_allocating_call(case, dtype):
+    """A strided view as `out` receives exactly the allocating call's
+    result, is what the call returns, and nothing around it is written."""
+    call = out_cases(dtype)[case]
+    want = call()
+    buf = np.full((want.shape[0] + 2,) + tuple(n + 4 for n in want.shape[1:]), np.nan, dtype)
+    out = buf[1:-1, 2:-2, 2:-2, 2:-2]
+    assert not out.flags.c_contiguous
+    assert call(out=out) is out
+    np.testing.assert_array_equal(out, want)
+    assert np.isnan(buf).sum() == buf.size - out.size
+
+
+@pytest.mark.parametrize("case", list(out_cases(np.float32)))
+def test_out_of_wrong_shape_or_dtype_is_refused(case):
+    for dtype, wrong in ((np.float32, np.float64), (np.float64, np.float32)):
+        call = out_cases(dtype)[case]
+        shape = call().shape
+        for bad in (np.zeros(shape, wrong),
+                    np.zeros(shape[:-1] + (shape[-1] + 1,), dtype),
+                    np.zeros(shape[1:], dtype)):
+            with pytest.raises(ValueError, match="out must be"):
+                call(out=bad)
+            assert not bad.any()
 
 
 # --- transposed convolution ------------------------------------------------------
