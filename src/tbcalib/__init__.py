@@ -4,7 +4,7 @@ from .calibration import (CalibrationError, CalibrationReport, InsufficientAncho
                           build_frame, calibrate, fit_lsc_plane, rank_result,
                           refine_sagittal, resample, split_components)
 from .losses import class_weight, dsc_loss, dsc_metric, joint_loss, weighted_ce
-from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
+from .phantom import (PhantomSpec, PoseError, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg,
                       sample_training_pair, write_pose)
 from .segment import EmptySegmentationError, sliding_window_infer, threshold_segment

@@ -25,7 +25,7 @@ import numpy as np
 from . import calibration as cal
 from .losses import DEFAULT_LAMBDAS, dsc_metric
 from .nn import CheckpointError, MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
-from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
+from .phantom import (PhantomSpec, PoseError, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg, write_pose)
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MvolError, CheckpointError) as exc:  # a malformed input file
+    except (MvolError, CheckpointError, PoseError) as exc:  # a malformed input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

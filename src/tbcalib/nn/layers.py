@@ -1,16 +1,21 @@
 """Stateful layer wrappers around the functional primitives.
 
 `forward(x, training)`: a training forward caches what the backward pass
-needs; an eval forward drops any earlier cache and keeps nothing, and its
-batch norm and ReLU work in place on their input, which the caller hands
-over.  Backward accumulates parameter gradients into Param.grad and
-returns the gradient with respect to the input.
+needs; an eval forward drops any earlier cache and keeps nothing.  ReLU
+works in place on the array the caller hands over, in both passes, and so
+do an eval batch norm and every batch-norm backward; a training batch norm
+keeps its input for the backward pass and writes its result into the
+caller's `out` when it is given.  Backward accumulates parameter gradients
+into Param.grad and returns the gradient with respect to the input,
+possibly as a view.
 
 Every convolution has stride 1 and reads a zero border of
 dilation·(kernel // 2) voxels per side, so it keeps the spatial size.  The
 op pads a copy of the input unless the caller hands over an input that
 carries the border already (`border`, as in a `bordered` buffer), and the
 conv layers write their output into the caller's `out` when it is given.
+A training conv keeps that input, border and all, and its backward pass
+reads the border in place in the same way.
 Every pool has stride 2 and padding (kernel - 1) // 2 per side, so it
 halves an even spatial size.
 """
@@ -53,11 +58,6 @@ def bordered(channels, spatial, dtype):
     return np.zeros((channels,) + tuple(n + 2 for n in spatial), dtype=dtype)
 
 
-def interior(a, border=1):
-    """a without its outer `border` voxels on each spatial side."""
-    return a[:, border:-border, border:-border, border:-border] if border else a
-
-
 class Conv3d(Layer):
     def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, dtype=np.float32):
         super().__init__()
@@ -73,15 +73,17 @@ class Conv3d(Layer):
     def forward(self, x, training, out=None, border=0):
         """x carries a zero border `border` voxels wide that the caller put
         there: the conv reads it as padding and leaves any excess out of
-        its output.  The backward pass sees x without it."""
-        self._x = interior(x, border) if training else None
+        its output.  A training forward keeps x, border and all, and the
+        backward pass reads it the same way."""
+        self._x = (x, border) if training else None
         return ops.conv3d_forward(x, self.params["w"].data, self.params["b"].data,
                                   dilation=self.dilation, padding=self.padding - border,
                                   out=out)
 
     def backward(self, gy):
-        gx, gw, gb = ops.conv3d_backward(self._x, self.params["w"].data, gy,
-                                         dilation=self.dilation, padding=self.padding)
+        x, border = self._x
+        gx, gw, gb = ops.conv3d_backward(x, self.params["w"].data, gy, dilation=self.dilation,
+                                         padding=self.padding - border, border=border)
         self.params["w"].grad += gw
         self.params["b"].grad += gb
         return gx
@@ -121,32 +123,37 @@ class BatchNorm3d(Layer):
         }
         self._cache = None
 
-    def forward(self, x, training):
+    def forward(self, x, training, out=None):
+        """A training forward keeps x for backward and writes its result
+        into `out` when it is given; an eval forward works in place on x."""
         args = (self.params["gamma"].data, self.params["beta"].data,
                 self.buffers["running_mean"], self.buffers["running_var"])
         if not training:
+            if out is not None:
+                raise ValueError("an eval batch norm works in place and takes no out")
             self._cache = None
             return ops.batchnorm_inference_inplace(x, *args)
-        y, self._cache = ops.batchnorm_forward(x, *args, training)
+        y, self._cache = ops.batchnorm_forward(x, *args, training, out=out)
         return y
 
     def backward(self, gy):
-        gx, ggamma, gbeta = ops.batchnorm_backward(self._cache, gy)
+        """Works in place on gy, which the caller hands over."""
+        gx, ggamma, gbeta = ops.batchnorm_backward(self._cache, gy, out=gy)
         self.params["gamma"].grad += ggamma
         self.params["beta"].grad += gbeta
         return gx
 
 
 class ReLU(Layer):
+    """Both passes work in place on the array the caller hands over."""
+
     def forward(self, x, training):
-        if not training:
-            self._mask = None
-            return np.maximum(x, 0, out=x)
-        y, self._mask = ops.relu_forward(x)
+        y, cache = ops.relu_forward(x, out=x)
+        self._y = cache if training else None
         return y
 
     def backward(self, gy):
-        return ops.relu_backward(self._mask, gy)
+        return ops.relu_backward(self._y, gy, out=gy)
 
 
 class Sigmoid(Layer):
@@ -201,16 +208,17 @@ class ConvBnRelu(Layer):
 
     def forward(self, x, training, out=None, border=0):
         """`border` as in Conv3d.forward.  With `out`, the result lands
-        there: in eval the conv writes it and batch norm and ReLU work in
-        place; in training, whose arrays backward keeps, it is copied in."""
-        y = self.relu.forward(self.bn.forward(self.conv.forward(
-            x, training, None if training else out, border), training), training)
-        if out is None or y is out:
-            return y
-        out[...] = y
-        return out
+        there: in eval the conv writes it and batch norm works in place; in
+        training, whose batch norm backward keeps the conv's output, batch
+        norm writes it.  ReLU then works in place."""
+        if training:
+            y = self.bn.forward(self.conv.forward(x, True, border=border), True, out)
+        else:
+            y = self.bn.forward(self.conv.forward(x, False, out, border), False)
+        return self.relu.forward(y, training)
 
     def backward(self, gy):
+        """Works in place on gy, which the caller hands over."""
         return self.conv.backward(self.bn.backward(self.relu.backward(gy)))
 
     def children(self):
@@ -233,10 +241,9 @@ class FusionModule(Layer):
 
     def backward(self, gy):
         parts = np.split(self.reduce.backward(gy), len(self.branches))
-        gx = None
-        for branch, g in zip(self.branches, parts):
-            gb = branch.backward(np.ascontiguousarray(g))
-            gx = gb if gx is None else gx + gb
+        gx = self.branches[0].backward(parts[0])
+        for branch, g in zip(self.branches[1:], parts[1:]):
+            gx += branch.backward(g)
         return gx
 
     def children(self):

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..losses import DEFAULT_LAMBDAS
 from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, FusionModule,
-                     Layer, MaxPool3d, Sigmoid, bordered, interior, named_layers)
+                     Layer, MaxPool3d, Sigmoid, bordered, named_layers)
+from .ops import interior
 
 
 @dataclass
@@ -59,7 +60,10 @@ class DenseBlock(Layer):
     channels in place, border and all, as its padding, and writes its g
     channels into the interior behind them, so the border stays zero.  The
     reduction reads the whole bordered stack and leaves the border out of
-    its output."""
+    its output.  In training the stack holds each layer's output, which its
+    ReLU keeps for backward, and each conv's backward pass reads its input
+    in place there too.  Backward accumulates each layer's input gradient
+    into the reduction's, channel block by channel block."""
 
     def __init__(self, in_ch, out_ch, rng, growth, n_layers, dtype=np.float32):
         super().__init__()
@@ -93,7 +97,7 @@ class DenseBlock(Layer):
     def backward(self, gy):
         # The stack's channel offsets of features 1..L (feature 0 is the input).
         bounds = self.in_ch + self.growth * np.arange(len(self.layers))
-        gfeats = [g.copy() for g in np.split(self.reduce.backward(gy), bounds)]
+        gfeats = np.split(self.reduce.backward(gy), bounds)
         for i in range(len(self.layers), 0, -1):
             gin = self.layers[i - 1].backward(gfeats[i])
             for j, gpart in enumerate(np.split(gin, bounds[:i - 1])):
@@ -261,17 +265,23 @@ class MFFNet:
             self.head12_up2.backward(self.head12_sig.backward(g12))))
         gd1_aux = self.head24_conv.backward(self.head24_up.backward(
             self.head24_sig.backward(g24)))
-        gd2 = self.out_conv.backward(self.out_sig.backward(np.asarray(grad_main, dtype=dt)))
-        gc2 = self.dec2.backward(gd2)
-        gu2, gs1 = gc2[:self._c1], np.ascontiguousarray(gc2[self._c1:])
-        gd1 = self.up2.backward(np.ascontiguousarray(gu2)) + gd1_aux
-        gc1 = self.dec1.backward(gd1)
-        gu1, gs2 = gc1[:self._c2], np.ascontiguousarray(gc1[self._c2:])
-        gm = gm + self.up1.backward(np.ascontiguousarray(gu1))
-        gp2 = self.dcm.backward(gm)
-        gs2 = gs2 + self.mp2.backward(gp2)
-        gp1 = self.db2.backward(gs2)
-        gs1 = gs1 + self.mp1.backward(gp1)
-        gt = self.db1.backward(gs1)
+        # Each decoder input's gradient, a view, splits into the upsampling's,
+        # copied so that grad_b sums a contiguous array, and the skip
+        # connection's.  Every branch sum adds into an array that a backward
+        # call just returned, and each gradient is dropped once it is added.
+        gc2 = self.dec2.backward(self.out_conv.backward(self.out_sig.backward(
+            np.asarray(grad_main, dtype=dt))))
+        g = self.up2.backward(np.ascontiguousarray(gc2[:self._c1]))
+        g += gd1_aux
+        gc1 = self.dec1.backward(g)
+        gm += self.up1.backward(np.ascontiguousarray(gc1[:self._c2]))
+        g = self.mp2.backward(self.dcm.backward(gm))
+        del gm
+        g += gc1[self._c2:]
+        del gc1
+        g = self.mp1.backward(self.db2.backward(g))
+        g += gc2[self._c1:]
+        del gc2
+        g = self.db1.backward(g)
         self._forward_done = False
-        return self.stem.backward(gt)
+        return self.stem.backward(g)

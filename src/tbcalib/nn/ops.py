@@ -19,22 +19,27 @@ Anderson et al., arXiv:1709.03395).  That copies k·Ci rows and writes
 k²·Co partial rows in place of the k³·Ci rows of a full im2col, so it is
 used when (k² - 1)·Ci > 2k·Co; with fewer input channels, as in the
 one-channel stem, `cols` stacks all k³ shifted slices and one (Co, k³·Ci)
-GEMM writes the output.  A 1³ conv is one GEMM on the input itself.  The
-backward pass places grad_out on the same layout behind a margin of the
-largest shift and stacks its k³ shifted slices on the Co side, so one
-(k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and grad_w (cols @ x_padᵀ):
-grad_w needs every tap's slice of grad_out, which a depth-stacked chunk
-would only give through k² narrow GEMMs.  A stride s keeps every s-th
-stride-1 output, and its gradient is grad_out scattered to every s-th
-position with zeros between.  COLS_BYTES bounds `cols` and the partial
-buffer together, whatever the volume size.
+GEMM writes the output.  A 1³ conv is one GEMM on the input itself, and
+an unpadded, unstrided one has a backward pass of two: wᵀ @ grad_out and
+grad_out @ xᵀ.  Any other backward pass places grad_out on the padded
+layout behind a margin of the largest shift and stacks its k³ shifted
+slices on the Co side, so one (k³·Co, n) chunk gives both grad_x
+(wᵀ @ cols) and grad_w (cols @ x_padᵀ): grad_w needs every tap's slice of
+grad_out, which a depth-stacked chunk would only give through k² narrow
+GEMMs.  grad_x is returned as the interior view of its padded-layout
+buffer, with no crop copy.  A stride s keeps every s-th stride-1 output,
+and its gradient is grad_out scattered to every s-th position with zeros
+between.  COLS_BYTES bounds `cols` and the partial buffer together,
+whatever the volume size.
 
 The border may be the caller's.  An input that already carries its zero
 border is passed with padding 0 and read in place, with no padded copy; a
 negative padding leaves the outer -padding voxels of the input out, as a
 1³ conv does on such an input.  Both conv forward passes write their
 output only after their last read of the input, so `out` may lie inside
-the input.
+the input.  The conv backward pass takes the same input and padding and
+the border's width: it reads the border in place as padding in the same
+way, and returns grad_x for the input inside the border.
 
 Pooling never pads: each kernel tap reads the outputs whose input position
 lies inside the volume, a strided slice per axis, which is all that padding
@@ -56,7 +61,10 @@ grad_w.
 
 The forward functions return what their backward pass needs.  Inference
 needs none of it: `batchnorm_inference_inplace` is the running-statistics
-batch norm without a cache, applied in place.
+batch norm without a cache, applied in place.  Batch norm and ReLU, forward
+and backward, write into the caller's `out` when it is given, which for
+ReLU and the batch-norm backward may be their own input; ReLU's cache is
+its output, positive exactly where its input is.
 """
 
 from __future__ import annotations
@@ -137,6 +145,11 @@ def _check_out(out, shape, dtype):
                          f"got {out.dtype} {out.shape}")
 
 
+def interior(a, border=1):
+    """a without its outer `border` voxels on each spatial side."""
+    return a[:, border:-border, border:-border, border:-border] if border else a
+
+
 def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None):
     """Dilated cross-correlation with bias.
 
@@ -178,15 +191,33 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None):
     return np.add(y, b[:, None, None, None], out=out)
 
 
-def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
-    """Gradients of conv3d_forward; returns (grad_x, grad_w, grad_b)."""
-    ci, d, h, wd = x.shape
+def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):
+    """Gradients of conv3d_forward(x, w, b, stride, dilation, padding);
+    returns (grad_x, grad_w, grad_b).
+
+    The outer `border` voxels of x are a zero border that the caller put
+    there, not input: grad_x is the gradient with respect to the rest of x,
+    and the conv pads that rest by padding + border >= 0.  A border of
+    exactly that width is read in place as the padding.
+    """
+    p = padding + border
+    if border < 0 or p < 0:
+        raise ValueError(f"border {border} must be >= max(0, -padding) for padding {padding}")
+    xi = interior(x, border)
+    ci, d, h, wd = xi.shape
     co, k = w.shape[0], w.shape[2]
-    do, ho, wo = conv3d_output_shape((d, h, wd), k, stride, dilation, padding)
+    do, ho, wo = conv3d_output_shape((d, h, wd), k, stride, dilation, p)
     if grad_out.shape != (co, do, ho, wo):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(co, do, ho, wo)}")
-    d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
-    xf, (dp, hp, wp), depth, plane = _flat_padded(x, padding, k, dilation)
+    gb = grad_out.sum(axis=(1, 2, 3))
+    if k == 1 and p == 0 and stride == 1:  # grad_out is on the input's own grid
+        g = grad_out.reshape(co, -1)
+        wm = w.reshape(co, ci)
+        return ((wm.T @ g).reshape(xi.shape),
+                (g @ xi.reshape(ci, -1).T).reshape(w.shape), gb)
+    d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, p)
+    xf, (dp, hp, wp), depth, plane = (_flat_padded(x, 0, k, dilation) if border == p
+                                      else _flat_padded(xi, p, k, dilation))
     offs = [z + s for z in depth for s in plane]
     # grad_out on the stride-1 padded layout, behind a margin of the largest
     # shift: grad_x at flat q reads tap t at q + margin - offs[t].
@@ -195,7 +226,6 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     g1 = gf[:, margin:margin + d1 * hp * wp].reshape(co, d1, hp, wp)
     g1[:, ::stride, :h1:stride, :w1:stride] = grad_out
     # Nonzero x and kept grad_x lie between the first and last unpadded voxel.
-    p = padding
     lo = (p * hp + p) * wp + p
     hi = ((p + d - 1) * hp + p + h - 1) * wp + p + wd
     wm_t = w.transpose(1, 2, 3, 4, 0).reshape(ci, -1)
@@ -204,10 +234,8 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0):
     for a, e, cols, _ in _stacked_chunks(gf, [margin - o for o in offs], 0, lo, hi, 0):
         np.matmul(wm_t, cols, out=gxf[:, a:e])
         gw_t += cols @ xf[:, a:e].T
-    del xf, gf, cols  # free before the crop copy
-    gx = gxf.reshape(ci, dp, hp, wp)[:, p:p + d, p:p + h, p:p + wd].copy()
-    gw = gw_t.reshape(k, k, k, co, ci).transpose(3, 4, 0, 1, 2).copy()
-    return gx, gw, grad_out.sum(axis=(1, 2, 3))
+    gx = interior(gxf.reshape(ci, dp, hp, wp), p)
+    return gx, gw_t.reshape(k, k, k, co, ci).transpose(3, 4, 0, 1, 2).copy(), gb
 
 
 def _check_transpose_kernel(w):
@@ -311,10 +339,16 @@ def maxpool3d_forward(x, k, stride, padding=0):
 
 
 def maxpool3d_backward(x_shape, arg, grad_out, k, stride, padding=0):
+    """Each tap scatters grad_out times its 0/1 argmax mask, built in one
+    reused bool buffer and one reused value buffer."""
     _, axes = _pool_taps(x_shape, k, stride, padding)
     gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    hit = np.empty(arg.shape, dtype=bool)
+    val = np.empty_like(grad_out)
     for tap, (dst, src) in enumerate(_taps3(axes)):
-        gx[src] += np.where(arg[dst] == tap, grad_out[dst], 0)
+        np.equal(arg[dst], tap, out=hit[dst])
+        np.multiply(grad_out[dst], hit[dst], out=val[dst])
+        gx[src] += val[dst]
     return gx
 
 
@@ -352,13 +386,14 @@ def avgpool3d_backward(x_shape, counts, grad_out, k, stride, padding=0):
     return g
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, training):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, training, out=None):
     """Per-channel normalization over spatial positions.
 
     Training mode uses batch statistics and updates the running buffers in
     place with momentum BN_MOMENTUM; inference mode uses the running
     statistics.  Either is applied as one per-channel scale and shift, cast
-    to x.dtype.  Returns (y, cache).
+    to x.dtype, and written into `out` when it is given.  Returns (y, cache);
+    the cache holds x.
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -375,13 +410,19 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, training):
         mean, var = running_mean.copy(), running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale, shift = _bn_scale_shift(gamma, beta, mean, inv_std, x.dtype)
-    y = xr * scale[:, None] + shift[:, None]
-    return y.reshape(x.shape), (xr, mean, inv_std, gamma, training)
+    y = np.multiply(x, scale, out=out)
+    y += shift
+    return y, (xr, mean, inv_std, gamma, training)
+
+
+def _per_channel(v, dt):
+    """v cast to dt, shaped to broadcast over (C, D, H, W)."""
+    return v.astype(dt)[:, None, None, None]
 
 
 def _bn_scale_shift(gamma, beta, mean, inv_std, dtype):
     scale = gamma * inv_std
-    return scale.astype(dtype), (beta - mean * scale).astype(dtype)
+    return _per_channel(scale, dtype), _per_channel(beta - mean * scale, dtype)
 
 
 def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var):
@@ -389,13 +430,14 @@ def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var):
     the same per-channel scale and shift, so the same bits.  Returns x."""
     scale, shift = _bn_scale_shift(gamma, beta, running_mean,
                                    1.0 / np.sqrt(running_var + BN_EPS), x.dtype)
-    x *= scale[:, None, None, None]
-    x += shift[:, None, None, None]
+    x *= scale
+    x += shift
     return x
 
 
-def batchnorm_backward(cache, grad_out):
-    """Returns (grad_x, grad_gamma, grad_beta).
+def batchnorm_backward(cache, grad_out, out=None):
+    """Returns (grad_x, grad_gamma, grad_beta); grad_x is written into `out`
+    when it is given, which may be grad_out itself.
 
     Per channel, grad_x = a·gy + b·x + c with coefficients from Σgy and
     Σgy·x, so x̂ is never formed.  Both sums accumulate in float64: the
@@ -406,24 +448,30 @@ def batchnorm_backward(cache, grad_out):
     c = grad_out.shape[0]
     dt = grad_out.dtype
     gy = grad_out.reshape(c, -1)
+    n = gy.shape[1]
     sg = gy.sum(axis=1, dtype=np.float64)
     mean, inv_std = mean.astype(np.float64), inv_std.astype(np.float64)
     ggamma = (np.einsum("ij,ij->i", gy, xr, dtype=np.float64) - mean * sg) * inv_std
     a = gamma * inv_std
-    gx = gy * a.astype(dt)[:, None]
+    # Both sums are taken, so out may be grad_out.
+    gx = np.multiply(grad_out, _per_channel(a, dt), out=out)
     if training:
-        b = -a * inv_std * ggamma / gy.shape[1]
-        gx += xr * b.astype(dt)[:, None]
-        gx += (-a * sg / gy.shape[1] - b * mean).astype(dt)[:, None]
-    return gx.reshape(grad_out.shape), ggamma.astype(dt), sg.astype(dt)
+        b = -a * inv_std * ggamma / n
+        gx += xr.reshape(gx.shape) * _per_channel(b, dt)
+        gx += _per_channel(-a * sg / n - b * mean, dt)
+    return gx, ggamma.astype(dt), sg.astype(dt)
 
 
-def relu_forward(x):
-    return np.maximum(x, 0), x > 0
+def relu_forward(x, out=None):
+    """max(x, 0), written into `out` when it is given.  Returns (y, y): the
+    output is the backward pass's cache, since y > 0 exactly where x > 0."""
+    y = np.maximum(x, 0, out=out)
+    return y, y
 
 
-def relu_backward(mask, grad_out):
-    return grad_out * mask
+def relu_backward(y, grad_out, out=None):
+    """grad_out where y > 0, else 0, written into `out` when it is given."""
+    return np.multiply(grad_out, y > 0, out=out)
 
 
 def sigmoid_forward(x):

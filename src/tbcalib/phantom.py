@@ -95,12 +95,20 @@ def write_pose(pose: RigidPose, path) -> None:
             f.write(f"{v:.12f}\n")
 
 
+class PoseError(ValueError):
+    """A pose file that does not hold a rigid pose as write_pose writes it."""
+
+
 def read_pose(path) -> RigidPose:
-    with open(path) as f:
-        vals = [float(line) for line in f if line.strip()]
-    if len(vals) != 12:
-        raise ValueError(f"{path}: pose file must hold 12 values, got {len(vals)}")
-    return RigidPose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
+    """The pose write_pose wrote; raises PoseError for a malformed file."""
+    try:
+        with open(path) as f:
+            vals = [float(line) for line in f if line.strip()]
+        if len(vals) != 12:
+            raise ValueError(f"pose file must hold 12 values, got {len(vals)}")
+        return RigidPose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
+    except ValueError as exc:  # also a bad number, a non-finite or non-rigid pose
+        raise PoseError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 from tbcalib import cli
 from tbcalib.cli import _per_component_dsc, main
 from tbcalib.nn import MFFNet, save_checkpoint
-from tbcalib.phantom import read_pose
+from tbcalib.phantom import PoseError, read_pose
 from tbcalib.train import train_network
 from tbcalib.volume import LabelMask, read_mvol, write_mvol
 
@@ -161,6 +161,30 @@ def test_calibrate_failure_exit_code(phantom_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["rank"] == "Failed"
     assert report["error"]
+
+
+IDENTITY_POSE = ["1", "0", "0", "0", "1", "0", "0", "0", "1", "0.5", "-1", "2"]
+
+
+@pytest.mark.parametrize("values,message", [
+    (IDENTITY_POSE[:2], "must hold 12 values, got 2"),
+    (IDENTITY_POSE[:4] + ["one"] + IDENTITY_POSE[5:], "could not convert"),
+    (IDENTITY_POSE[:9] + ["nan"] + IDENTITY_POSE[10:], "must be finite"),
+    (["1.1"] + IDENTITY_POSE[1:], "not orthonormal"),
+    (["-1"] + IDENTITY_POSE[1:], "determinant"),
+])
+def test_evaluate_malformed_pose_exits_2(phantom_dir, tmp_path, capsys, values, message):
+    """Each malformed pose file, as --pose-true or --pose-est, ends in a
+    PoseError that the CLI reports as `error:` with exit 2."""
+    bad = tmp_path / "pose.txt"
+    bad.write_text("\n".join(values) + "\n")
+    with pytest.raises(PoseError, match=message):
+        read_pose(bad)
+    for flags in (("--pose-true", bad, "--pose-est", phantom_dir / "pose.txt"),
+                  ("--pose-true", phantom_dir / "pose.txt", "--pose-est", bad)):
+        assert run("evaluate", "--pred", phantom_dir / "mask.mvol", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
 
 
 def test_evaluate_against_truth(phantom_dir, tmp_path):

@@ -304,6 +304,31 @@ def test_eval_forward_peak_allocation_on_reduced_field():
     assert peak < 150e6, peak / 1e6
 
 
+def test_training_step_peak_allocation_on_a_cuboid():
+    """Peak traced allocation of one 48^3 training forward plus backward of
+    the default net.  Measured 168.9 MB; it was 221.7 MB when every conv
+    backward padded a copy of its input and cropped a copy of grad_x, batch
+    norm, ReLU and its mask made new arrays that were then copied into the
+    stacks, and the backward kept each gradient until it returned."""
+    net = MFFNet(NetworkConfig(), seed=0)
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(1, 48, 48, 48)).astype(np.float32)
+    grad_main, *grad_aux = (rng.normal(size=x.shape).astype(np.float32) for _ in range(3))
+
+    def step():
+        net.forward(x, training=True)
+        net.backward(grad_main, grad_aux)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180e6, peak / 1e6
+
+
 def cached_arrays(net):
     """(layer attribute, value) for every array a layer holds outside its
     params and buffers, over every Layer reachable from the net."""

@@ -116,6 +116,7 @@ ORACLE_CASES = [
     (2, 3, 11, 3, 2, 2, 1),
     (8, 6, 26, 3, 1, 1, 1),  # flat length spans several full-im2col chunks
     (8, 6, 40, 3, 1, 1, 1),  # ... and several depth-stacked chunks
+    (3, 16, 53, 1, 1, 1, 0),  # a 1^3 backward over more voxels than one chunk of 16 rows
 ]
 
 
@@ -212,6 +213,43 @@ def test_conv_negative_padding_leaves_the_caller_border_out(k, stride, dilation,
     y = ops.conv3d_forward(x, w, b, stride, dilation, padding)
     assert y.shape == ref.shape
     np.testing.assert_allclose(y, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+# (ci, co, k, stride, dilation, border): padding dilation*(k//2) for a 3^3 kernel
+BORDER_CASES = {
+    "depth_stacked": (8, 2, 3, 1, 1, 1),
+    "full_im2col": (2, 6, 3, 1, 2, 2),
+    "stride_2": (3, 2, 3, 2, 1, 1),
+    "one_voxel_kernel": (4, 3, 1, 1, 1, 1),
+    "border_wider_than_padding": (8, 2, 3, 1, 1, 2),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(BORDER_CASES))
+def test_conv_backward_reads_the_caller_border(case, dtype):
+    """conv3d_backward on an input that carries a zero border, with the
+    forward's padding convention, gives the bits of the call on the bare
+    input; a border exactly as wide as the padding is read in place, and
+    grad_x is then a view of the padded layout."""
+    ci, co, k, stride, dilation, border = BORDER_CASES[case]
+    padding = dilation * (k // 2)
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(ci, 9, 7, 11)).astype(dtype)
+    w = rng.normal(size=(co, ci, k, k, k)).astype(dtype)
+    g = rng.normal(size=(co,) + ops.conv3d_output_shape(x.shape[1:], k, stride, dilation,
+                                                        padding)).astype(dtype)
+    xb = np.zeros((ci,) + tuple(n + 2 * border for n in x.shape[1:]), dtype)
+    xb[:, border:-border, border:-border, border:-border] = x
+    want = ops.conv3d_backward(x, w, g, stride, dilation, padding)
+    got = ops.conv3d_backward(xb, w, g, stride, dilation, padding - border, border)
+    for name, a, r in zip(("grad_x", "grad_w", "grad_b"), got, want):
+        assert a.dtype == dtype and a.shape == r.shape, name
+        np.testing.assert_array_equal(a, r, err_msg=name)
+    if k > 1:
+        assert got[0].base is not None and not got[0].flags.c_contiguous
+    with pytest.raises(ValueError, match="border"):
+        ops.conv3d_backward(xb, w, g, stride, dilation, -padding - 1, 0)
 
 
 def out_cases(dtype):
