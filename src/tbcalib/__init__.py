@@ -11,7 +11,6 @@ from .segment import EmptySegmentationError, sliding_window_infer, threshold_seg
 from .train import TrainingDivergedError, train_network
 from .volume import (BadDtypeError, BadMagicError, BadSpacingError, Cuboid,
                      LabelMask, MvolError, TruncatedFileError, Volume,
-                     extract_cuboid, normalize_intensity, read_mvol,
-                     read_raw_stack, write_mvol)
+                     extract_cuboid, normalize_intensity, read_mvol, write_mvol)
 
 __version__ = "0.1.0"

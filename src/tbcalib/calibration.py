@@ -344,25 +344,26 @@ def calibrate(vol: Volume, mask: LabelMask,
     """Full pipeline: split -> refine -> fit -> frame (the pose) -> resample.
 
     Returns (calibrated volume, calibrated mask, CalibrationReport, pose)
-    where pose maps world to calibrated coordinates.  On anchor failure the
-    volume/mask/pose are None and the report rank is Failed.
+    where pose maps world to calibrated coordinates.  On a CalibrationError
+    (too few anchors, a degenerate canal geometry) the volume/mask/pose are
+    None, the report rank is Failed and report.error holds the message.
     """
     report = CalibrationReport(l0_mm=l0)
     try:
         left, right = split_components(mask)
-    except InsufficientAnchorsError as exc:
+        p0, x_axis, info = refine_sagittal(left, right, l0=l0, max_iter=max_iter)
+        report.iterations = info["iterations"]
+        report.l1_mm = info["l1_mm"]
+        report.converged = info["converged"]
+        report.p1 = list(info["p1"])
+        report.p2 = list(info["p2"])
+        all_points = np.concatenate([left, right], axis=0)
+        z_axis, rms = fit_lsc_plane(all_points, x_axis)
+        report.rms_mm = rms
+        pose = build_frame(p0, x_axis, z_axis)
+    except CalibrationError as exc:
         report.error = str(exc)
         return None, None, report, None
-    p0, x_axis, info = refine_sagittal(left, right, l0=l0, max_iter=max_iter)
-    report.iterations = info["iterations"]
-    report.l1_mm = info["l1_mm"]
-    report.converged = info["converged"]
-    report.p1 = list(info["p1"])
-    report.p2 = list(info["p2"])
-    all_points = np.concatenate([left, right], axis=0)
-    z_axis, rms = fit_lsc_plane(all_points, x_axis)
-    report.rms_mm = rms
-    pose = build_frame(p0, x_axis, z_axis)
     report.angles_deg = decomposition_angles_deg(pose.rotation[0])
     cal_vol = resample(vol, pose, spacing=spacing)
     cal_mask = resample(mask, pose, spacing=spacing)

@@ -8,8 +8,11 @@ the required options are flags only).  `phantom` writes the options it ran
 with to `spec.txt` in that same format, so `phantom --config <dir>/spec.txt`
 renders the phantom again byte for byte.
 
-A malformed `.mvol` or `.mffw` input ends any stage with `error: <message>`
-on stderr and exit status 2.
+Every stage exits 0 when done, 1 when it ran but produced no result (an
+empty segmentation, a diverged training, a `Failed` calibration, which
+includes a mask whose canals are degenerate), and 2 on a bad flag, file or
+file content.  A nonzero exit prints one `error: <message>` line on stderr;
+`main` alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import numpy as np
 from . import calibration as cal
 from .losses import DEFAULT_LAMBDAS, dsc_metric
 from .nn import CheckpointError, MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
-from .phantom import (PhantomSpec, PoseError, RigidPose, generate_phantom, read_pose,
+from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg, write_pose)
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
-from .train import train_network
+from .train import TrainingDivergedError, train_network
 from .volume import MvolError, parse_key_values, read_mvol, write_mvol
 
 
@@ -67,15 +70,11 @@ def _dims(text):
 def cmd_phantom(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(PhantomSpec)
                  if getattr(args, f.name, None) is not None}
-    try:
-        if args.skew_euler is not None or args.skew_translation is not None:
-            rot = rotation_from_euler_deg(*(args.skew_euler or (0, 0, 0)))
-            overrides["skew"] = RigidPose(rot, np.array(args.skew_translation or (0.0, 0.0, 0.0)))
-        spec = PhantomSpec(**overrides)
-        vol, mask, pose = generate_phantom(spec)  # ValueError when the canals leave the grid
-    except ValueError as exc:
-        print(f"error: invalid phantom spec: {exc}", file=sys.stderr)
-        return 2
+    if args.skew_euler is not None or args.skew_translation is not None:
+        rot = rotation_from_euler_deg(*(args.skew_euler or (0, 0, 0)))
+        overrides["skew"] = RigidPose(rot, np.array(args.skew_translation or (0.0, 0.0, 0.0)))
+    spec = PhantomSpec(**overrides)
+    vol, mask, pose = generate_phantom(spec)  # ValueError when the canals leave the grid
     os.makedirs(args.output, exist_ok=True)
     write_mvol(vol, os.path.join(args.output, "volume.mvol"))
     write_mvol(mask, os.path.join(args.output, "mask.mvol"))
@@ -94,41 +93,22 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_segment_threshold(args) -> int:
-    vol = read_mvol(args.input)
-    try:
-        mask = threshold_segment(vol, args.band)
-    except EmptySegmentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mask = threshold_segment(read_mvol(args.input), args.band)
     write_mvol(mask, args.output)
     print(f"mask written to {args.output} ({mask.foreground_count()} voxels)")
     return 0
 
 
 def cmd_train(args) -> int:
-    try:
-        net_config = NetworkConfig(lambdas=args.lambdas)
-    except ValueError as exc:
-        print(f"error: invalid lambdas: {exc}", file=sys.stderr)
-        return 2
-    vol = read_mvol(args.input)
-    mask = read_mvol(args.mask)
-    try:
-        net, history = train_network(
-            vol, mask,
-            iterations=args.iterations,
-            lr=args.lr,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            config=net_config,
-            log_path=args.loss_log,
-        )
-    except ValueError as exc:
-        print(f"error: invalid training input: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"error: training aborted: {exc}", file=sys.stderr)
-        return 1
+    net, history = train_network(
+        read_mvol(args.input), read_mvol(args.mask),
+        iterations=args.iterations,
+        lr=args.lr,
+        seed=args.seed,
+        batch_size=args.batch_size,
+        config=NetworkConfig(lambdas=args.lambdas),
+        log_path=args.loss_log,
+    )
     save_checkpoint(net, args.output)
     final = history[-1]["total"] if history else float("nan")
     print(f"checkpoint written to {args.output} "
@@ -137,9 +117,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        print(f"error: checkpoint {args.checkpoint} not found", file=sys.stderr)
-        return 2
     vol = read_mvol(args.input)
     net = MFFNet(NetworkConfig(), seed=0)
     load_checkpoint(net, args.checkpoint)
@@ -154,30 +131,31 @@ def cmd_infer(args) -> int:
 def cmd_calibrate(args) -> int:
     vol = read_mvol(args.input)
     mask = read_mvol(args.mask)
-    os.makedirs(args.output, exist_ok=True)
     cal_vol, cal_mask, report, pose = cal.calibrate(
         vol, mask, l0=args.l0, max_iter=args.max_iter, spacing=args.spacing)
+    os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.json")
     with open(report_path, "w") as f:
         f.write(report.to_json() + "\n")
-    if report.rank == "Failed" and cal_vol is None:
-        print(f"error: calibration failed: {report.error}", file=sys.stderr)
+    if cal_vol is not None:
+        write_mvol(cal_vol, os.path.join(args.output, "calibrated_volume.mvol"))
+        write_mvol(cal_mask, os.path.join(args.output, "calibrated_mask.mvol"))
+        write_pose(pose, os.path.join(args.output, "est_pose.txt"))
+    if report.rank == "Failed":
+        reason = report.error or "the calibrated canals rank Failed"
+        print(f"error: calibration failed: {reason}", file=sys.stderr)
         return 1
-    write_mvol(cal_vol, os.path.join(args.output, "calibrated_volume.mvol"))
-    write_mvol(cal_mask, os.path.join(args.output, "calibrated_mask.mvol"))
-    write_pose(pose, os.path.join(args.output, "est_pose.txt"))
     print(f"calibration rank {report.rank}; report at {report_path}")
-    return 0 if report.rank != "Failed" else 1
+    return 0
 
 
 def cmd_evaluate(args) -> int:
+    if (args.pose_true is None) != (args.pose_est is None):
+        raise ValueError("--pose-true and --pose-est must be given together")
     pred = read_mvol(args.pred)
     metrics = {}
     if args.truth:
         truth = read_mvol(args.truth)
-        if pred.voxels.shape != truth.voxels.shape:
-            print("error: prediction and ground-truth shapes differ", file=sys.stderr)
-            return 2
         metrics["dsc"] = dsc_metric(pred, truth)
         if metrics["dsc"] == 0.0 and pred.foreground_count() == 0:
             print("warning: prediction is empty", file=sys.stderr)
@@ -186,7 +164,7 @@ def cmd_evaluate(args) -> int:
     metrics["rank"] = rank
     metrics["slice_gap"] = gap
     metrics["mirror_dsc"] = mirror
-    if args.pose_true and args.pose_est:
+    if args.pose_true is not None:
         true_pose = read_pose(args.pose_true)   # canonical -> world skew
         est_pose = read_pose(args.pose_est)     # world -> calibrated
         resid = est_pose.compose(true_pose)     # should be near identity
@@ -317,7 +295,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MvolError, CheckpointError, PoseError) as exc:  # a malformed input file
+    except (EmptySegmentationError, TrainingDivergedError) as exc:  # ran, no result
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, MvolError, CheckpointError) as exc:  # bad flag or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,9 +131,9 @@ class BatchNorm3d(Layer):
         if not training:
             if out is not None:
                 raise ValueError("an eval batch norm works in place and takes no out")
-            self._cache = None
-            return ops.batchnorm_inference_inplace(x, *args)
-        y, self._cache = ops.batchnorm_forward(x, *args, training, out=out)
+            out = x
+        y, cache = ops.batchnorm_forward(x, *args, training, out=out)
+        self._cache = cache if training else None
         return y
 
     def backward(self, gy):

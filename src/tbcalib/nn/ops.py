@@ -59,12 +59,11 @@ the upsampled grid, in a new array or the caller's `out`; the backward pass
 undoes that interleave on grad_out and makes one GEMM each for grad_x and
 grad_w.
 
-The forward functions return what their backward pass needs.  Inference
-needs none of it: `batchnorm_inference_inplace` is the running-statistics
-batch norm without a cache, applied in place.  Batch norm and ReLU, forward
-and backward, write into the caller's `out` when it is given, which for
-ReLU and the batch-norm backward may be their own input; ReLU's cache is
-its output, positive exactly where its input is.
+The forward functions return what their backward pass needs.  Batch norm
+and ReLU, forward and backward, write into the caller's `out` when it is
+given, which may be their own input: an eval batch norm runs in place on
+the running statistics.  Batch norm's cache is its input as given, with
+no copy; ReLU's cache is its output, positive exactly where its input is.
 """
 
 from __future__ import annotations
@@ -392,14 +391,15 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, training, out=N
     Training mode uses batch statistics and updates the running buffers in
     place with momentum BN_MOMENTUM; inference mode uses the running
     statistics.  Either is applied as one per-channel scale and shift, cast
-    to x.dtype, and written into `out` when it is given.  Returns (y, cache);
-    the cache holds x.
+    to x.dtype, and written into `out` when it is given, which may be x
+    itself.  Returns (y, cache); the cache holds x itself, so an eval call on
+    a strided view copies nothing.
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"BN parameter shape mismatch for {c} channels")
-    xr = x.reshape(c, -1)
     if training:
+        xr = x.reshape(c, -1)
         mean = xr.mean(axis=1)
         var = xr.var(axis=1)
         running_mean *= BN_MOMENTUM
@@ -409,30 +409,15 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, training, out=N
     else:
         mean, var = running_mean.copy(), running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    scale, shift = _bn_scale_shift(gamma, beta, mean, inv_std, x.dtype)
-    y = np.multiply(x, scale, out=out)
-    y += shift
-    return y, (xr, mean, inv_std, gamma, training)
+    scale = gamma * inv_std
+    y = np.multiply(x, _per_channel(scale, x.dtype), out=out)
+    y += _per_channel(beta - mean * scale, x.dtype)
+    return y, (x, mean, inv_std, gamma, training)
 
 
 def _per_channel(v, dt):
     """v cast to dt, shaped to broadcast over (C, D, H, W)."""
     return v.astype(dt)[:, None, None, None]
-
-
-def _bn_scale_shift(gamma, beta, mean, inv_std, dtype):
-    scale = gamma * inv_std
-    return _per_channel(scale, dtype), _per_channel(beta - mean * scale, dtype)
-
-
-def batchnorm_inference_inplace(x, gamma, beta, running_mean, running_var):
-    """batchnorm_forward(training=False) written over x, with no cache:
-    the same per-channel scale and shift, so the same bits.  Returns x."""
-    scale, shift = _bn_scale_shift(gamma, beta, running_mean,
-                                   1.0 / np.sqrt(running_var + BN_EPS), x.dtype)
-    x *= scale
-    x += shift
-    return x
 
 
 def batchnorm_backward(cache, grad_out, out=None):
@@ -444,20 +429,21 @@ def batchnorm_backward(cache, grad_out, out=None):
     float32 products are exact there, and Σgy·x − mean·Σgy then keeps the
     digits the subtraction cancels.
     """
-    xr, mean, inv_std, gamma, training = cache
+    x, mean, inv_std, gamma, training = cache
     c = grad_out.shape[0]
     dt = grad_out.dtype
     gy = grad_out.reshape(c, -1)
     n = gy.shape[1]
     sg = gy.sum(axis=1, dtype=np.float64)
     mean, inv_std = mean.astype(np.float64), inv_std.astype(np.float64)
+    xr = x.reshape(c, -1)
     ggamma = (np.einsum("ij,ij->i", gy, xr, dtype=np.float64) - mean * sg) * inv_std
     a = gamma * inv_std
     # Both sums are taken, so out may be grad_out.
     gx = np.multiply(grad_out, _per_channel(a, dt), out=out)
     if training:
         b = -a * inv_std * ggamma / n
-        gx += xr.reshape(gx.shape) * _per_channel(b, dt)
+        gx += x * _per_channel(b, dt)
         gx += _per_channel(-a * sg / n - b * mean, dt)
     return gx, ggamma.astype(dt), sg.astype(dt)
 

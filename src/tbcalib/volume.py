@@ -9,7 +9,6 @@ uint8 labels in {0, 1}.
 from __future__ import annotations
 
 import os
-import re
 import struct
 from dataclasses import dataclass, field
 
@@ -254,32 +253,3 @@ def read_mvol(path):
     except ValueError as exc:  # a mask label other than 0/1, or a non-finite origin
         raise MvolError(f"{path}: {exc}") from None
 
-
-# ---------------------------------------------------------------------------
-# Raw-stack import: a directory of equally sized 2D raw slices plus a
-# sidecar text file ("stack.txt", key=value) giving dims/spacing.
-# Slices are assembled in filename-sorted order, one slice per file.
-# ---------------------------------------------------------------------------
-
-def read_raw_stack(directory) -> Volume:
-    with open(os.path.join(directory, "stack.txt")) as f:
-        meta = parse_key_values(f.read())
-    try:
-        nx, ny, nz = int(meta["nx"]), int(meta["ny"]), int(meta["nz"])
-        spacing = (float(meta["sx"]), float(meta["sy"]), float(meta["sz"]))
-    except KeyError as exc:
-        raise ValueError(f"stack.txt in {directory}: missing key {exc.args[0]!r}") from None
-    origin = tuple(float(meta.get(k, 0.0)) for k in ("ox", "oy", "oz"))
-    names = sorted(
-        f for f in os.listdir(directory)
-        if re.search(r"\.raw$", f)
-    )
-    if len(names) != nz:
-        raise ValueError(f"expected {nz} .raw slices in {directory}, found {len(names)}")
-    slices = []
-    for name in names:
-        data = np.fromfile(os.path.join(directory, name), dtype="<f4")
-        if data.size != nx * ny:
-            raise ValueError(f"{name}: expected {nx * ny} values, got {data.size}")
-        slices.append(data.reshape(ny, nx))
-    return Volume(voxels=np.stack(slices, axis=0), spacing=spacing, origin=origin)

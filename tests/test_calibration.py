@@ -535,6 +535,20 @@ def test_calibrate_empty_mask_reports_failure():
     assert report.error
 
 
+def test_calibrate_collinear_mask_reports_failure():
+    """Two anchors on one line give no canal plane: fit_lsc_plane's
+    CalibrationError becomes a Failed report, as an anchor failure does."""
+    voxels = np.zeros((8, 8, 64), dtype=np.uint8)
+    voxels[4, 4, 2:28] = voxels[4, 4, 36:62] = 1
+    mask = LabelMask(voxels=voxels)
+    vol = Volume(voxels=voxels.astype(np.float32))
+    cal_vol, cal_mask, report, pose = cal.calibrate(vol, mask)
+    assert cal_vol is None and cal_mask is None and pose is None
+    assert report.rank == "Failed"
+    assert report.error == "degenerate (collinear) point set"
+    assert report.iterations == 1 and report.converged
+
+
 def test_report_json_roundtrip():
     rep = cal.CalibrationReport(iterations=3, converged=True, l1_mm=0.01,
                                 p1=[1.0, 2.0, 3.0], p2=[4.0, 5.0, 6.0],

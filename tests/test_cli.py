@@ -429,3 +429,71 @@ def test_infer_truncated_checkpoint_exits_2(small_phantom_dir, checkpoint_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "payload truncated" in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def collinear_rods_mvol(tmp_path_factory):
+    """Two 26-voxel rods on one line along x: two anchors, but no canal plane."""
+    path = tmp_path_factory.mktemp("rods") / "rods.mvol"
+    voxels = np.zeros((8, 8, 64), dtype=np.uint8)
+    voxels[4, 4, 2:28] = voxels[4, 4, 36:62] = 1
+    write_mvol(LabelMask(voxels=voxels), path)
+    return path
+
+
+# {vol}, {mask}, {ckpt} and {rods} are valid inputs; {missing} names no file;
+# {dir} is a directory; {out} is the output, which only a stage that ran may write.
+STAGE_FAILURES = [
+    pytest.param(2, ("segment-threshold", "--input", "{missing}", "--output", "{out}",
+                  "--band", "300,900"), id="segment-threshold-missing-input"),
+    pytest.param(2, ("train", "--input", "{missing}", "--mask", "{mask}", "--output", "{out}",
+                  "--iterations", "1"), id="train-missing-input"),
+    pytest.param(2, ("infer", "--checkpoint", "{ckpt}", "--input", "{missing}",
+                  "--output", "{out}"), id="infer-missing-input"),
+    pytest.param(2, ("calibrate", "--input", "{missing}", "--mask", "{mask}", "--output", "{out}"),
+                 id="calibrate-missing-input"),
+    pytest.param(2, ("evaluate", "--pred", "{missing}", "--output", "{out}"),
+                 id="evaluate-missing-pred"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--l0", "0"), id="calibrate-zero-l0"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--max-iter", "0"), id="calibrate-zero-max-iter"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--spacing", "0"), id="calibrate-zero-spacing"),
+    pytest.param(2, ("segment-threshold", "--input", "{vol}", "--output", "{out}",
+                  "--band", "900,300"), id="segment-threshold-reversed-band"),
+    pytest.param(2, ("infer", "--checkpoint", "{dir}", "--input", "{vol}", "--output", "{out}"),
+                 id="infer-checkpoint-directory"),
+    pytest.param(1, ("calibrate", "--input", "{vol}", "--mask", "{rods}", "--output", "{out}"),
+                 id="calibrate-collinear-rods"),
+]
+
+
+@pytest.mark.parametrize("code, argv", STAGE_FAILURES)
+def test_stage_failure_is_one_error_line(small_phantom_dir, checkpoint_path, collinear_rods_mvol,
+                                         tmp_path, capsys, code, argv):
+    """Bad input exits 2 and writes nothing; a stage that ran without a
+    result exits 1.  Either way stderr is one `error:` line."""
+    out = tmp_path / "out"
+    paths = {"vol": small_phantom_dir / "volume.mvol", "mask": small_phantom_dir / "mask.mvol",
+             "ckpt": checkpoint_path, "rods": collinear_rods_mvol,
+             "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out}
+    assert run(*(a.format(**paths) for a in argv)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if code == 2:
+        assert not out.exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["rank"] == "Failed" and "collinear" in report["error"]
+
+
+@pytest.mark.parametrize("flag", ["--pose-true", "--pose-est"])
+def test_evaluate_one_pose_flag_alone_exits_2(phantom_dir, tmp_path, capsys, flag):
+    out = tmp_path / "metrics.json"
+    assert run("evaluate", "--pred", phantom_dir / "mask.mvol", flag, phantom_dir / "pose.txt",
+               "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--pose-true and --pose-est" in err
+    assert not out.exists()

@@ -6,8 +6,7 @@ import pytest
 from tbcalib.volume import (BadDtypeError, BadMagicError, BadSpacingError,
                             Cuboid, LabelMask, MvolError, TruncatedFileError,
                             Volume, extract_cuboid, normalize_intensity,
-                            parse_key_values, read_mvol, read_raw_stack,
-                            write_mvol)
+                            parse_key_values, read_mvol, write_mvol)
 
 
 def random_volume(rng, max_side=12):
@@ -227,41 +226,6 @@ def test_normalize_intensity():
                                dtype=np.float32))
     n = normalize_intensity(v)  # window (-1000, 3000)
     np.testing.assert_allclose(n.voxels[0, 0], [0.0, 0.0, 0.5, 1.0, 1.0])
-
-
-def test_read_raw_stack(tmp_path):
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(3, 4, 5)).astype("<f4")
-    for iz in range(3):
-        data[iz].tofile(tmp_path / f"slice_{iz:03d}.raw")
-    (tmp_path / "stack.txt").write_text(
-        "nx=5\nny=4\nnz=3\nsx=0.5\nsy=0.5\nsz=1.0\nox=-1.0\n")
-    v = read_raw_stack(tmp_path)
-    assert v.dims == (5, 4, 3)
-    np.testing.assert_array_equal(v.voxels, data)
-    np.testing.assert_allclose(v.spacing, [0.5, 0.5, 1.0])
-    np.testing.assert_allclose(v.origin, [-1.0, 0.0, 0.0])
-
-
-def test_read_raw_stack_slice_count_mismatch(tmp_path):
-    (tmp_path / "stack.txt").write_text("nx=2\nny=2\nnz=3\nsx=1\nsy=1\nsz=1\n")
-    np.zeros(4, dtype="<f4").tofile(tmp_path / "only.raw")
-    with pytest.raises(ValueError):
-        read_raw_stack(tmp_path)
-
-
-def test_read_raw_stack_missing_key(tmp_path):
-    (tmp_path / "stack.txt").write_text("nx=2\nny=2\nsx=1\nsy=1\nsz=1\n")
-    with pytest.raises(ValueError, match="missing key 'nz'"):
-        read_raw_stack(tmp_path)
-
-
-@pytest.mark.parametrize("origin", ["ox=nan", "oy=inf", "oz=-inf"])
-def test_read_raw_stack_non_finite_origin(tmp_path, origin):
-    (tmp_path / "stack.txt").write_text(f"nx=2\nny=2\nnz=1\nsx=1\nsy=1\nsz=1\n{origin}\n")
-    np.zeros(4, dtype="<f4").tofile(tmp_path / "only.raw")
-    with pytest.raises(ValueError, match="origin must be finite"):
-        read_raw_stack(tmp_path)
 
 
 def test_parse_key_values_skips_blank_and_comment_lines():
