@@ -347,7 +347,10 @@ def calibrate(vol: Volume, mask: LabelMask,
     where pose maps world to calibrated coordinates.  On a CalibrationError
     (too few anchors, a degenerate canal geometry) the volume/mask/pose are
     None, the report rank is Failed and report.error holds the message.
+    Raises ValueError when the mask is not on the volume's grid.
     """
+    if not mask.same_grid(vol):
+        raise ValueError("the mask is not on the volume's grid (dims, spacing and origin)")
     report = CalibrationReport(l0_mm=l0)
     try:
         left, right = split_components(mask)

@@ -9,10 +9,12 @@ with to `spec.txt` in that same format, so `phantom --config <dir>/spec.txt`
 renders the phantom again byte for byte.
 
 Every stage exits 0 when done, 1 when it ran but produced no result (an
-empty segmentation, a diverged training, a `Failed` calibration, which
-includes a mask whose canals are degenerate), and 2 on a bad flag, file or
-file content.  A nonzero exit prints one `error: <message>` line on stderr;
-`main` alone maps exceptions to these codes.
+empty threshold or network segmentation, a diverged training, a `Failed`
+calibration, which includes a mask whose canals are degenerate), and 2 on a
+bad flag, file or file content (an `infer --threshold` outside (0, 1), a
+mask off its volume's grid included).  A nonzero exit prints one
+`error: <message>` line on stderr and `infer` then writes no mask; `main`
+alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -121,8 +123,6 @@ def cmd_infer(args) -> int:
     net = MFFNet(NetworkConfig(), seed=0)
     load_checkpoint(net, args.checkpoint)
     mask = sliding_window_infer(net, vol, threshold=args.threshold)
-    if mask.foreground_count() == 0:
-        print("warning: empty segmentation", file=sys.stderr)
     write_mvol(mask, args.output)
     print(f"mask written to {args.output} ({mask.foreground_count()} voxels)")
     return 0
@@ -156,6 +156,8 @@ def cmd_evaluate(args) -> int:
     metrics = {}
     if args.truth:
         truth = read_mvol(args.truth)
+        if not truth.same_grid(pred):
+            raise ValueError("--truth is not on --pred's grid (dims, spacing and origin)")
         metrics["dsc"] = dsc_metric(pred, truth)
         if metrics["dsc"] == 0.0 and pred.foreground_count() == 0:
             print("warning: prediction is empty", file=sys.stderr)

@@ -74,22 +74,18 @@ def joint_loss(main_p: np.ndarray, aux_ps, g: np.ndarray, lambdas=DEFAULT_LAMBDA
     if len(lambdas) != len(aux_ps):
         raise ValueError(f"need one lambda per aux head: {len(lambdas)} vs {len(aux_ps)}")
     weight = class_weight(g)
-
-    d_main, gd_main = dsc_loss(main_p, g)
-    c_main, gc_main = weighted_ce(main_p, g, weight)
-    total = d_main + c_main
-    grad_main = gd_main + gc_main
-    breakdown = {"dsc_main": d_main, "ce_main": c_main}
-    grads_aux = []
-    for k, (lam, aux) in enumerate(zip(lambdas, aux_ps)):
-        d_k, gd_k = dsc_loss(aux, g)
-        c_k, gc_k = weighted_ce(aux, g, weight)
-        total += lam * (d_k + c_k)
-        breakdown[f"dsc_aux_{k}"] = d_k
-        breakdown[f"ce_aux_{k}"] = c_k
-        grads_aux.append(lam * (gd_k + gc_k))
+    heads = [("main", 1.0, main_p)] + [(f"aux_{k}", lam, aux)
+                                       for k, (lam, aux) in enumerate(zip(lambdas, aux_ps))]
+    total, breakdown, grads = 0.0, {}, []
+    for name, lam, p in heads:
+        d, gd = dsc_loss(p, g)
+        c, gc = weighted_ce(p, g, weight)
+        total += lam * (d + c)
+        breakdown[f"dsc_{name}"] = d
+        breakdown[f"ce_{name}"] = c
+        grads.append(lam * (gd + gc))
     breakdown["total"] = total
-    return total, breakdown, grad_main, grads_aux
+    return total, breakdown, grads[0], grads[1:]
 
 
 def dsc_metric(a, b) -> float:

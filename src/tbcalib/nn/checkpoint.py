@@ -88,11 +88,13 @@ def _copy_into(dst, src, name, path) -> None:
 
 
 def load_checkpoint(net, path) -> None:
-    """Load weights and BN running statistics in place; every one must be in
-    the file, and entries the net does not have are ignored."""
+    """Load weights and BN running statistics in place; the file must hold
+    exactly the net's entries, each with its shape."""
     arrays = read_checkpoint_arrays(path)
     entries = [(n, p.data, "parameter") for n, p in net.named_params()]
     for name, dst, kind in entries + [(n, b, "buffer") for n, b in net.named_buffers()]:
         if name not in arrays:
             raise CheckpointError(f"{path}: missing {kind} {name}")
-        _copy_into(dst, arrays[name], name, path)
+        _copy_into(dst, arrays.pop(name), name, path)
+    if arrays:
+        raise CheckpointError(f"{path}: unexpected entry {next(iter(arrays))}")

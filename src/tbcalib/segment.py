@@ -5,7 +5,6 @@ TILE_VOXELS."""
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 from scipy import ndimage
@@ -121,8 +120,11 @@ def predict_probabilities(net, vol: Volume) -> np.ndarray:
 
 def sliding_window_infer(net, vol: Volume, threshold: float = 0.5) -> LabelMask:
     """Network segmentation: predict_probabilities thresholded, then the two
-    largest components kept."""
+    largest components kept.  Raises ValueError unless 0 < threshold < 1,
+    and EmptySegmentationError when no component survives."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     filtered = keep_largest_components(predict_probabilities(net, vol) >= threshold)
     if not filtered.any():
-        warnings.warn("empty segmentation: no component survived filtering")
+        raise EmptySegmentationError("no component survived filtering")
     return LabelMask(voxels=filtered, spacing=vol.spacing.copy(), origin=vol.origin.copy())

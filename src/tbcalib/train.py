@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+from collections import Counter
+
 import numpy as np
 
 from .losses import dsc_metric, joint_loss
@@ -36,7 +40,7 @@ def train_network(vol: Volume, mask: LabelMask,
     per step, or to 1 with `fixed_offset`, which takes no other value.
     `stop_dsc` enables early stopping once the thresholded prediction of the
     training cuboid reaches that Dice score (checked every CHECK_EVERY
-    iterations).
+    iterations, on the batch's last sample).
 
     The result is bit-reproducible in `seed` for a fixed CPU count only: the
     BLAS thread count sets the summation order of the conv GEMMs.
@@ -54,58 +58,36 @@ def train_network(vol: Volume, mask: LabelMask,
     net = MFFNet(config, seed=seed)
     opt = Adam(net.named_params(), lr=lr)
     norm = normalize_intensity(vol)
-    if fixed_offset is not None:
-        fixed_pair = (extract_cuboid(norm, fixed_offset).values,
-                      extract_cuboid(mask, fixed_offset).values.astype(np.float64))
-
+    fixed = None if fixed_offset is None else (extract_cuboid(norm, fixed_offset),
+                                               extract_cuboid(mask, fixed_offset))
     history = []
-    log_file = open(log_path, "w") if log_path else None
-    try:
+    with open(log_path, "w") if log_path else contextlib.nullcontext() as log_file:
+        log = csv.writer(log_file, lineterminator="\n") if log_file else None
         for it in range(iterations):
             net.zero_grad()
-            breakdown_acc = None
-            reached = None
+            sums = Counter()
             for b in range(batch_size):
-                if fixed_offset is not None:
-                    x, g = fixed_pair
-                else:
-                    cub, lab = sample_training_pair(norm, mask, seed=seed * 1000003 + it * 17 + b)
-                    x = cub.values
-                    g = lab.values.astype(np.float64)
+                cub, lab = fixed or sample_training_pair(
+                    norm, mask, seed=seed * 1000003 + it * 17 + b)
+                x, g = cub.values, lab.values.astype(np.float64)
                 main, auxes = net.forward(x[None], training=True)
                 loss, breakdown, gmain, gaux = joint_loss(
                     main[0], [a[0] for a in auxes], g, lambdas=net.config.lambdas)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(it)
                 net.backward(gmain[None], [ga[None] for ga in gaux])
-                if breakdown_acc is None:
-                    breakdown_acc = dict(breakdown)
-                else:
-                    for k, v in breakdown.items():
-                        breakdown_acc[k] += v
-                if stop_dsc is not None and (it + 1) % CHECK_EVERY == 0:
-                    reached = dsc_metric(main[0] >= 0.5, g >= 0.5)
-            for k in breakdown_acc:
-                breakdown_acc[k] /= batch_size
-            # Average gradients over the batch before the update.
-            if batch_size > 1:
-                for _, p in net.named_params():
-                    p.grad /= batch_size
+                sums.update(breakdown)
+            for _, p in net.named_params():
+                p.grad /= batch_size  # the batch mean, before the update
             opt.step()
-            breakdown_acc["iteration"] = it
-            history.append(breakdown_acc)
-            if log_file:
+            history.append({k: v / batch_size for k, v in sums.items()} | {"iteration": it})
+            if log:
                 if it == 0:
-                    keys = ["iteration", "dsc_main", "ce_main"] + sorted(
-                        k for k in breakdown_acc if k.startswith(("dsc_aux", "ce_aux"))
-                    ) + ["total"]
-                    log_file.write(",".join(keys) + "\n")
-                    log_keys = keys
-                log_file.write(",".join(f"{breakdown_acc[k]:.8g}" if k != "iteration"
-                                        else str(it) for k in log_keys) + "\n")
-            if stop_dsc is not None and reached is not None and reached >= stop_dsc:
+                    aux_keys = sorted(k for k in sums if "_aux_" in k)
+                    keys = ["dsc_main", "ce_main", *aux_keys, "total"]
+                    log.writerow(["iteration", *keys])
+                log.writerow([it, *(f"{history[-1][k]:.8g}" for k in keys)])
+            if (stop_dsc is not None and (it + 1) % CHECK_EVERY == 0
+                    and dsc_metric(main[0] >= 0.5, g >= 0.5) >= stop_dsc):
                 break
-    finally:
-        if log_file:
-            log_file.close()
     return net, history

@@ -549,6 +549,16 @@ def test_calibrate_collinear_mask_reports_failure():
     assert report.iterations == 1 and report.converged
 
 
+def test_calibrate_rejects_mask_off_the_volume_grid():
+    """A 0.6 mm volume with the 0.5 mm mask of the same dims: the pose would
+    be found on one grid and applied to another."""
+    vol, _, _ = small_phantom(spacing=(0.6, 0.6, 0.6))
+    _, mask, _ = small_phantom()
+    assert vol.dims == mask.dims
+    with pytest.raises(ValueError, match="grid"):
+        cal.calibrate(vol, mask)
+
+
 def test_report_json_roundtrip():
     rep = cal.CalibrationReport(iterations=3, converged=True, l1_mm=0.01,
                                 p1=[1.0, 2.0, 3.0], p2=[4.0, 5.0, 6.0],

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from tbcalib import cli
+from tbcalib import cli, segment
 from tbcalib.cli import _per_component_dsc, main
 from tbcalib.nn import MFFNet, save_checkpoint
 from tbcalib.phantom import PoseError, read_pose
@@ -441,8 +441,18 @@ def collinear_rods_mvol(tmp_path_factory):
     return path
 
 
-# {vol}, {mask}, {ckpt} and {rods} are valid inputs; {missing} names no file;
-# {dir} is a directory; {out} is the output, which only a stage that ran may write.
+@pytest.fixture(scope="module")
+def coarse_phantom_dir(tmp_path_factory):
+    """small_phantom_dir's phantom rendered on a 0.6 mm grid of the same dims."""
+    out = tmp_path_factory.mktemp("coarse")
+    assert run("phantom", "--output", out, "--dims", "80,56,48", "--separation", "12",
+               "--seed", "2", "--spacing", "0.6,0.6,0.6") == 0
+    return out
+
+
+# {vol}, {mask}, {ckpt} and {rods} are valid inputs, and {vol06} and {mask06}
+# the same phantom on a 0.6 mm grid; {missing} names no file; {dir} is a
+# directory; {out} is the output, which only a stage that ran may write.
 STAGE_FAILURES = [
     pytest.param(2, ("segment-threshold", "--input", "{missing}", "--output", "{out}",
                   "--band", "300,900"), id="segment-threshold-missing-input"),
@@ -464,18 +474,26 @@ STAGE_FAILURES = [
                   "--band", "900,300"), id="segment-threshold-reversed-band"),
     pytest.param(2, ("infer", "--checkpoint", "{dir}", "--input", "{vol}", "--output", "{out}"),
                  id="infer-checkpoint-directory"),
-    pytest.param(1, ("calibrate", "--input", "{vol}", "--mask", "{rods}", "--output", "{out}"),
+    pytest.param(1, ("calibrate", "--input", "{rods}", "--mask", "{rods}", "--output", "{out}"),
                  id="calibrate-collinear-rods"),
+    pytest.param(2, ("calibrate", "--input", "{vol06}", "--mask", "{mask}", "--output", "{out}"),
+                 id="calibrate-mask-off-grid"),
+    pytest.param(2, ("evaluate", "--pred", "{mask}", "--truth", "{mask06}", "--output", "{out}"),
+                 id="evaluate-truth-off-grid"),
+    pytest.param(2, ("infer", "--checkpoint", "{ckpt}", "--input", "{vol}", "--output", "{out}",
+                  "--threshold", "2"), id="infer-threshold-2"),
 ]
 
 
 @pytest.mark.parametrize("code, argv", STAGE_FAILURES)
-def test_stage_failure_is_one_error_line(small_phantom_dir, checkpoint_path, collinear_rods_mvol,
-                                         tmp_path, capsys, code, argv):
+def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, checkpoint_path,
+                                         collinear_rods_mvol, tmp_path, capsys, code, argv):
     """Bad input exits 2 and writes nothing; a stage that ran without a
     result exits 1.  Either way stderr is one `error:` line."""
     out = tmp_path / "out"
     paths = {"vol": small_phantom_dir / "volume.mvol", "mask": small_phantom_dir / "mask.mvol",
+             "vol06": coarse_phantom_dir / "volume.mvol",
+             "mask06": coarse_phantom_dir / "mask.mvol",
              "ckpt": checkpoint_path, "rods": collinear_rods_mvol,
              "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out}
     assert run(*(a.format(**paths) for a in argv)) == code
@@ -487,6 +505,18 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, checkpoint_path, col
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
         report = json.loads((out / "report.json").read_text())
         assert report["rank"] == "Failed" and "collinear" in report["error"]
+
+
+def test_infer_empty_segmentation_exits_1(small_phantom_dir, checkpoint_path, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setattr(segment, "predict_probabilities",
+                        lambda net, vol: np.zeros(vol.voxels.shape, dtype=np.float32))
+    out = tmp_path / "pred.mvol"
+    assert run("infer", "--checkpoint", checkpoint_path,
+               "--input", small_phantom_dir / "volume.mvol", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no component survived filtering\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--pose-true", "--pose-est"])

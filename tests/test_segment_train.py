@@ -12,7 +12,7 @@ from tbcalib.nn.checkpoint import (CheckpointError, load_checkpoint,
 from tbcalib.phantom import PhantomSpec, generate_phantom
 from tbcalib.segment import (EmptySegmentationError, keep_largest_components,
                              predict_probabilities, sliding_window_infer, threshold_segment)
-from tbcalib.train import train_network
+from tbcalib.train import CHECK_EVERY, train_network
 from tbcalib.volume import Volume
 
 
@@ -106,6 +106,24 @@ def test_train_writes_csv_log(tmp_path):
     assert len(lines) == 1 + 2
     assert float(lines[1].split(",")[header.index("total")]) == \
         pytest.approx(history[0]["total"], rel=1e-6)
+
+
+def test_train_stop_dsc_stops_at_the_first_check():
+    vol, mask, _ = phantom()
+    _, history = train_network(vol, mask, iterations=25, config=tiny_config(),
+                               fixed_offset=(56, 8, 0), stop_dsc=0.0)
+    assert [h["iteration"] for h in history] == list(range(CHECK_EVERY))
+
+
+def test_train_loss_log_header_and_cells(tmp_path):
+    vol, mask, _ = phantom()
+    log = tmp_path / "loss.csv"
+    _, history = train_network(vol, mask, iterations=2, config=tiny_config(), log_path=log)
+    keys = ["dsc_main", "ce_main", "ce_aux_0", "ce_aux_1", "dsc_aux_0", "dsc_aux_1", "total"]
+    rows = [f"{h['iteration']}," + ",".join(f"{h[k]:.8g}" for k in keys) + "\n"
+            for h in history]
+    assert log.read_text() == "".join(["iteration," + ",".join(keys) + "\n"] + rows)
+    assert [h["iteration"] for h in history] == [0, 1]
 
 
 # --- checkpointing -----------------------------------------------------------------
@@ -213,15 +231,10 @@ def test_checkpoint_missing_buffer_rejected(tmp_path):
         load_checkpoint(net, path)
 
 
-def test_checkpoint_with_flags_and_optimizer_entries_loads_weights(tmp_path):
-    """Files that also carry optimizer moments (flags bit 0) load their weights."""
+def test_checkpoint_flags_byte_is_ignored(tmp_path):
     net = MFFNet(tiny_config(), seed=1)
-    adam = [("adam.t", SimpleNamespace(data=np.array([7.0])))] + [
-        (f"adam.{k}.{name}", SimpleNamespace(data=np.ones_like(p.data)))
-        for k in "mv" for name, p in net.named_params()]
     path = tmp_path / "net.mffw"
-    save_checkpoint(SimpleNamespace(named_params=lambda: list(net.named_params()) + adam,
-                                    named_buffers=net.named_buffers), path)
+    save_checkpoint(net, path)
     raw = bytearray(path.read_bytes())
     raw[5] = 1
     path.write_bytes(bytes(raw))
@@ -229,6 +242,18 @@ def test_checkpoint_with_flags_and_optimizer_entries_loads_weights(tmp_path):
     load_checkpoint(other, path)
     for (_, pa), (_, pb) in zip(net.named_params(), other.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def test_checkpoint_unexpected_entry_rejected(tmp_path):
+    """An entry the net does not have (here one extra parameter) is an error,
+    not a value that is read and then ignored."""
+    net = MFFNet(tiny_config(), seed=1)
+    extra = ("extra.w", SimpleNamespace(data=np.ones(3)))
+    path = tmp_path / "net.mffw"
+    save_checkpoint(SimpleNamespace(named_params=lambda: list(net.named_params()) + [extra],
+                                    named_buffers=net.named_buffers), path)
+    with pytest.raises(CheckpointError, match="unexpected entry extra.w"):
+        load_checkpoint(MFFNet(tiny_config(), seed=2), path)
 
 
 COMMITTED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "infer.mffw"
@@ -294,6 +319,21 @@ def test_tiled_inference_equals_whole_field(monkeypatch):
     assert tiled.shape == whole.shape == vol.voxels.shape
     assert np.ptp(whole) > 0.01
     np.testing.assert_allclose(tiled, whole, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_sliding_window_rejects_threshold_outside_unit_interval(threshold):
+    vol = Volume(voxels=np.zeros((8, 8, 8), dtype=np.float32))
+    with pytest.raises(ValueError, match="threshold"):
+        sliding_window_infer(MFFNet(tiny_config(), seed=0), vol, threshold=threshold)
+
+
+def test_sliding_window_empty_result_raises(monkeypatch):
+    vol = Volume(voxels=np.zeros((8, 8, 8), dtype=np.float32))
+    monkeypatch.setattr(segment, "predict_probabilities",
+                        lambda net, vol: np.zeros(vol.voxels.shape, dtype=np.float32))
+    with pytest.raises(EmptySegmentationError, match="no component"):
+        sliding_window_infer(MFFNet(tiny_config(), seed=0), vol)
 
 
 def test_sliding_window_pads_small_volumes():
