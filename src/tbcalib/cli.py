@@ -12,7 +12,7 @@ Every stage exits 0 when done, 1 when it ran but produced no result (an
 empty threshold or network segmentation, a diverged training, a `Failed`
 calibration, which includes a mask whose canals are degenerate), and 2 on a
 bad flag, file or file content (an `infer --threshold` outside (0, 1), a
-mask off its volume's grid included).  A nonzero exit prints one
+`train --iterations` below 1, a mask off its volume's grid included).  A nonzero exit prints one
 `error: <message>` line on stderr and `infer` then writes no mask; `main`
 alone maps exceptions to these codes.
 """
@@ -102,6 +102,8 @@ def cmd_segment_threshold(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.iterations < 1:
+        raise ValueError(f"--iterations must be at least 1, got {args.iterations}")
     net, history = train_network(
         read_mvol(args.input), read_mvol(args.mask),
         iterations=args.iterations,
@@ -112,9 +114,8 @@ def cmd_train(args) -> int:
         log_path=args.loss_log,
     )
     save_checkpoint(net, args.output)
-    final = history[-1]["total"] if history else float("nan")
     print(f"checkpoint written to {args.output} "
-          f"({len(history)} iterations, final loss {final:.4f})")
+          f"({len(history)} iterations, final loss {history[-1]['total']:.4f})")
     return 0
 
 

@@ -3,11 +3,13 @@
 `forward(x, training)`: a training forward caches what the backward pass
 needs; an eval forward drops any earlier cache and keeps nothing.  ReLU
 works in place on the array the caller hands over, in both passes, and so
-do an eval batch norm and every batch-norm backward; a training batch norm
-keeps its input for the backward pass and writes its result into the
-caller's `out` when it is given.  Backward accumulates parameter gradients
-into Param.grad and returns the gradient with respect to the input,
-possibly as a view.
+does every batch-norm backward; a batch norm writes its result into the
+caller's `out` when it is given, and a training one keeps its input for
+the backward pass.  An eval `ConvBnRelu` is one conv call,
+with the batch norm folded into its weights and the ReLU applied per
+chunk, and the eval pools are the separable inference ops.  Backward
+accumulates parameter gradients into Param.grad and returns the gradient
+with respect to the input, possibly as a view.
 
 Every convolution has stride 1 and reads a zero border of
 dilation·(kernel // 2) voxels per side, so it keeps the spatial size.  The
@@ -124,14 +126,10 @@ class BatchNorm3d(Layer):
         self._cache = None
 
     def forward(self, x, training, out=None):
-        """A training forward keeps x for backward and writes its result
-        into `out` when it is given; an eval forward works in place on x."""
+        """The result is written into `out` when it is given; a training
+        forward keeps x for backward."""
         args = (self.params["gamma"].data, self.params["beta"].data,
                 self.buffers["running_mean"], self.buffers["running_var"])
-        if not training:
-            if out is not None:
-                raise ValueError("an eval batch norm works in place and takes no out")
-            out = x
         y, cache = ops.batchnorm_forward(x, *args, training, out=out)
         self._cache = cache if training else None
         return y
@@ -189,8 +187,11 @@ class AvgPool3d(Layer):
         self.pool = (kernel, 2, (kernel - 1) // 2)  # (kernel, stride, padding)
 
     def forward(self, x, training):
-        y, counts = ops.avgpool3d_forward(x, *self.pool)
-        self._shape, self._counts = (x.shape, counts) if training else (None, None)
+        if not training:
+            self._shape = self._counts = None
+            return ops.avgpool3d_inference(x, *self.pool)
+        y, self._counts = ops.avgpool3d_forward(x, *self.pool)
+        self._shape = x.shape
         return y
 
     def backward(self, gy):
@@ -198,7 +199,11 @@ class AvgPool3d(Layer):
 
 
 class ConvBnRelu(Layer):
-    """3D conv followed by batch-norm and ReLU, the standard building unit."""
+    """3D conv followed by batch-norm and ReLU, the standard building unit.
+
+    An eval forward is one conv: batch norm is folded into the conv's
+    weight and bias, and each chunk of the conv's output gets its bias and
+    ReLU while it is in cache.  A training forward runs the three layers."""
 
     def __init__(self, in_ch, out_ch, kernel, rng, dilation=1, dtype=np.float32):
         super().__init__()
@@ -208,14 +213,19 @@ class ConvBnRelu(Layer):
 
     def forward(self, x, training, out=None, border=0):
         """`border` as in Conv3d.forward.  With `out`, the result lands
-        there: in eval the conv writes it and batch norm works in place; in
-        training, whose batch norm backward keeps the conv's output, batch
-        norm writes it.  ReLU then works in place."""
+        there: in eval the folded conv writes it; in training, whose batch
+        norm backward keeps the conv's output, batch norm writes it and
+        ReLU then works in place."""
         if training:
             y = self.bn.forward(self.conv.forward(x, True, border=border), True, out)
-        else:
-            y = self.bn.forward(self.conv.forward(x, False, out, border), False)
-        return self.relu.forward(y, training)
+            return self.relu.forward(y, True)
+        conv, bn = self.conv, self.bn
+        conv._x = bn._cache = self.relu._y = None
+        w, b = ops.fold_batchnorm(conv.params["w"].data, conv.params["b"].data,
+                                  bn.params["gamma"].data, bn.params["beta"].data,
+                                  bn.buffers["running_mean"], bn.buffers["running_var"])
+        return ops.conv3d_forward(x, w, b, dilation=conv.dilation,
+                                  padding=conv.padding - border, out=out, relu=True)
 
     def backward(self, gy):
         """Works in place on gy, which the caller hands over."""

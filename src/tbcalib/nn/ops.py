@@ -9,7 +9,9 @@ is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw) is the shift
 dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every tap is a
 plain slice.  The output is computed on the padded layout, one chunk of n
 flat positions at a time, and its valid region cropped out, bias added,
-into a new array or the caller's `out`.  The forward pass stacks only
+into a new array or the caller's `out`; a conv followed by ReLU adds the
+bias and clips each chunk while it is in cache, and its crop is a copy.
+The forward pass stacks only
 the k depth-shifted slabs of the input into `cols`, of shape
 (k·Ci, n + span), span being the largest in-plane shift; one GEMM with the
 kernel laid out as (k²·Co, k·Ci) gives a partial output for each in-plane
@@ -43,13 +45,16 @@ way, and returns grad_x for the input inside the border.
 
 Pooling never pads: each kernel tap reads the outputs whose input position
 lies inside the volume, a strided slice per axis, which is all that padding
-would have let through.  A max pool at inference computes no argmax and
-runs one running max per spatial axis, exact because max does not depend
-on order; a training max pool then finds the argmax in one pass over the
-taps, last to first, so the first tap in scan order wins ties.  Average
-pooling sums its k³ taps in scan order, like the nested-loop definition,
-divides by the outer product of the per-axis in-bounds counts, and
-scatters its gradient one axis at a time.
+would have let through.  The inference pools compute no argmax and reduce
+one spatial axis at a time, k taps per axis: each axis starts from the max
+or sum of two taps that cover its whole output, or a copy of the only one,
+so no array is filled first.  The max is exact, because max does not depend
+on order, and a training max pool then finds the argmax in one pass over
+the taps, last to first, so the first tap in scan order wins ties.  A
+training average pool sums its k³ taps in scan order, like the nested-loop
+definition, and scatters its gradient one axis at a time; the inference one
+sums in the separable order, so its bits differ by rounding.  Both divide
+by the outer product of the per-axis in-bounds counts.
 
 The transposed convolution's stride is its kernel side, so its output
 windows never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward
@@ -61,9 +66,11 @@ grad_w.
 
 The forward functions return what their backward pass needs.  Batch norm
 and ReLU, forward and backward, write into the caller's `out` when it is
-given, which may be their own input: an eval batch norm runs in place on
-the running statistics.  Batch norm's cache is its input as given, with
-no copy; ReLU's cache is its output, positive exactly where its input is.
+given, which may be their own input.  Batch norm's cache is its input as
+given, with no copy; ReLU's cache is its output, positive exactly where its
+input is.  At inference a batch norm after a conv is a per-channel affine
+map, folded into the conv's weight and bias by `fold_batchnorm`, and the
+ReLU after it runs inside the conv.
 """
 
 from __future__ import annotations
@@ -149,13 +156,21 @@ def interior(a, border=1):
     return a[:, border:-border, border:-border, border:-border] if border else a
 
 
-def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None):
-    """Dilated cross-correlation with bias.
+def _bias_relu(y, b):
+    """max(y + b, 0) per row of y, in place."""
+    y += b[:, None]
+    np.maximum(y, 0, out=y)
+
+
+def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=False):
+    """Dilated cross-correlation with bias, followed by max(·, 0) when
+    `relu` is set.
 
     x: (Ci, D, H, W); w: (Co, Ci, k, k, k); b: (Co,).  A negative padding
     leaves out the outer -padding voxels of x, a border the caller put
     there.  The result is written into `out` when it is given, and
-    returned.
+    returned.  With `relu`, each chunk of the padded-layout output gets its
+    bias and ReLU right after its GEMM, and the crop is a plain copy.
     """
     ci, d, h, wd = x.shape
     co, ci_w, k, k2, k3 = w.shape
@@ -172,6 +187,8 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None):
     n_out = min(d1 * hp * wp, xf.shape[1] - depth[-1] - plane[-1])  # last tap still in range
     if k == 1:
         yf = w.reshape(co, ci) @ xf[:, :n_out]
+        if relu:
+            _bias_relu(yf, b)
     else:
         yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
         if (k * k - 1) * ci > 2 * k * co:  # depth-stacked moves fewer rows
@@ -179,15 +196,24 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None):
             for a, e, cols, part in _stacked_chunks(xf, depth, plane[-1], 0, n_out, k * k * co):
                 np.matmul(wz, cols, out=part)
                 _shift_add(part, plane, yf[:, a:e])
+                if relu:
+                    _bias_relu(yf[:, a:e], b)
         else:
             wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
             offs = [z + s for z in depth for s in plane]
             for a, e, cols, part in _stacked_chunks(xf, offs, 0, 0, n_out, 0):
                 np.matmul(wm, cols, out=yf[:, a:e])
+                if relu:
+                    _bias_relu(yf[:, a:e], b)
         del cols, part  # free before the crop copy; both view the chunk buffers
     del xf
     y = yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride]
-    return np.add(y, b[:, None, None, None], out=out)
+    if not relu:
+        return np.add(y, b[:, None, None, None], out=out)
+    if out is None:
+        return y.copy()
+    out[...] = y
+    return out
 
 
 def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):
@@ -308,18 +334,30 @@ def _along(axis, sl):
     return (slice(None),) * axis + (sl,)
 
 
-def maxpool3d_inference(x, k, stride, padding=0):
-    """The y of maxpool3d_forward without the argmax: a running max over
-    the taps of one spatial axis at a time, exact because max does not
-    depend on order."""
+def _separable_pool(x, k, stride, padding, ufunc):
+    """ufunc reduced over the in-bounds taps of one spatial axis at a time.
+
+    Each axis starts from ufunc of two taps that cover its whole output,
+    or from a copy of the only one that does, and folds in the rest; with
+    padding at most (k - 1) // 2, tap `padding` always covers it.
+    Returns (y, output spatial shape, per-axis taps)."""
     out, axes = _pool_taps(x.shape, k, stride, padding)
     for axis, (size, taps) in enumerate(zip(out, axes), start=1):
-        y = np.full(x.shape[:axis] + (size,) + x.shape[axis + 1:], -np.inf, dtype=x.dtype)
-        for dst, src in taps:
-            yd = y[_along(axis, dst)]
-            np.maximum(yd, x[_along(axis, src)], out=yd)
+        full = [j for j, (dst, _) in enumerate(taps) if dst == slice(0, size)][:2]
+        first = [x[_along(axis, taps[j][1])] for j in full]
+        y = ufunc(*first) if len(first) == 2 else first[0].copy()
+        for j, (dst, src) in enumerate(taps):
+            if j not in full:
+                yd = y[_along(axis, dst)]
+                ufunc(yd, x[_along(axis, src)], out=yd)
         x = y
-    return x
+    return x, out, axes
+
+
+def maxpool3d_inference(x, k, stride, padding=0):
+    """The y of maxpool3d_forward without the argmax: a separable running
+    max, exact because max does not depend on order."""
+    return _separable_pool(x, k, stride, padding, np.maximum)[0]
 
 
 def maxpool3d_forward(x, k, stride, padding=0):
@@ -351,6 +389,17 @@ def maxpool3d_backward(x_shape, arg, grad_out, k, stride, padding=0):
     return gx
 
 
+def _pool_counts(out, axes, dtype):
+    """The in-bounds taps of each output: the outer product of the per-axis
+    counts."""
+    per_axis = [np.zeros(size, dtype=dtype) for size in out]
+    for c, taps in zip(per_axis, axes):
+        for dst, _ in taps:
+            c[dst] += 1
+    cd, ch, cw = per_axis
+    return cd[:, None, None] * ch[:, None] * cw
+
+
 def avgpool3d_forward(x, k, stride, padding=0):
     """Average pooling over the in-bounds taps only (padding excluded from
     the divisor, so a constant input stays constant at the border).  The
@@ -363,14 +412,18 @@ def avgpool3d_forward(x, k, stride, padding=0):
     y = np.zeros((x.shape[0],) + out, dtype=x.dtype)
     for dst, src in _taps3(axes):
         y[dst] += x[src]
-    per_axis = [np.zeros(size, dtype=x.dtype) for size in out]
-    for c, taps in zip(per_axis, axes):
-        for dst, _ in taps:
-            c[dst] += 1
-    cd, ch, cw = per_axis
-    counts = cd[:, None, None] * ch[:, None] * cw
+    counts = _pool_counts(out, axes, x.dtype)
     y /= counts
     return y, counts
+
+
+def avgpool3d_inference(x, k, stride, padding=0):
+    """The y of avgpool3d_forward, summed one spatial axis at a time: k
+    taps per axis rather than k³, in another order, so the bits differ
+    from the scan-order sum."""
+    y, out, axes = _separable_pool(x, k, stride, padding, np.add)
+    y /= _pool_counts(out, axes, x.dtype)
+    return y
 
 
 def avgpool3d_backward(x_shape, counts, grad_out, k, stride, padding=0):
@@ -413,6 +466,16 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, training, out=N
     y = np.multiply(x, _per_channel(scale, x.dtype), out=out)
     y += _per_channel(beta - mean * scale, x.dtype)
     return y, (x, mean, inv_std, gamma, training)
+
+
+def fold_batchnorm(w, b, gamma, beta, mean, var):
+    """Weight and bias of the conv (w, b) followed by an eval batch norm:
+    w·s and (b - mean)·s + beta with s = gamma / sqrt(var + BN_EPS), worked
+    out in float64 and cast to w's dtype (Jacob et al., arXiv:1712.05877,
+    §3.2)."""
+    s = np.asarray(gamma, np.float64) / np.sqrt(np.asarray(var, np.float64) + BN_EPS)
+    return ((w * s[:, None, None, None, None]).astype(w.dtype),
+            ((b - mean) * s + beta).astype(w.dtype))
 
 
 def _per_channel(v, dt):

@@ -452,7 +452,8 @@ def coarse_phantom_dir(tmp_path_factory):
 
 # {vol}, {mask}, {ckpt} and {rods} are valid inputs, and {vol06} and {mask06}
 # the same phantom on a 0.6 mm grid; {missing} names no file; {dir} is a
-# directory; {out} is the output, which only a stage that ran may write.
+# directory; {out} is the output and {log} a loss log, which only a stage that
+# ran may write.
 STAGE_FAILURES = [
     pytest.param(2, ("segment-threshold", "--input", "{missing}", "--output", "{out}",
                   "--band", "300,900"), id="segment-threshold-missing-input"),
@@ -482,6 +483,8 @@ STAGE_FAILURES = [
                  id="evaluate-truth-off-grid"),
     pytest.param(2, ("infer", "--checkpoint", "{ckpt}", "--input", "{vol}", "--output", "{out}",
                   "--threshold", "2"), id="infer-threshold-2"),
+    pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--iterations", "0", "--loss-log", "{log}"), id="train-zero-iterations"),
 ]
 
 
@@ -490,17 +493,17 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
                                          collinear_rods_mvol, tmp_path, capsys, code, argv):
     """Bad input exits 2 and writes nothing; a stage that ran without a
     result exits 1.  Either way stderr is one `error:` line."""
-    out = tmp_path / "out"
+    out, log = tmp_path / "out", tmp_path / "loss.csv"
     paths = {"vol": small_phantom_dir / "volume.mvol", "mask": small_phantom_dir / "mask.mvol",
              "vol06": coarse_phantom_dir / "volume.mvol",
              "mask06": coarse_phantom_dir / "mask.mvol",
              "ckpt": checkpoint_path, "rods": collinear_rods_mvol,
-             "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out}
+             "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out, "log": log}
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     if code == 2:
-        assert not out.exists()
+        assert not out.exists() and not log.exists()
     else:
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
         report = json.loads((out / "report.json").read_text())

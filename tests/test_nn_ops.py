@@ -299,6 +299,67 @@ def test_out_of_wrong_shape_or_dtype_is_refused(case):
             assert not bad.any()
 
 
+# (ci, co, spatial, k, dilation, padding, border): x carries a zero border of
+# `border` voxels per side around the spatial extent
+RELU_CASES = {
+    "one_voxel_kernel": (4, 3, (6, 7, 8), 1, 1, 0, 0),
+    "depth_stacked": (8, 2, (6, 7, 8), 3, 1, 1, 0),
+    "depth_stacked_chunks": (8, 6, (40, 40, 40), 3, 1, 1, 0),
+    "one_channel_stem": (1, 8, (41, 40, 40), 3, 1, 1, 0),
+    "dilation_3": (4, 4, (11, 10, 12), 3, 3, 3, 0),
+    "caller_border_1x1": (4, 3, (6, 7, 8), 1, 1, -1, 1),
+    "caller_border_3x3": (8, 2, (6, 7, 8), 3, 1, -1, 2),
+}
+
+
+def relu_case(case, dtype):
+    """(x, w, b, dilation, padding) of a RELU_CASES entry on fixed random
+    inputs; the bias straddles zero so that ReLU clips part of every channel."""
+    ci, co, spatial, k, dilation, padding, border = RELU_CASES[case]
+    rng = np.random.default_rng(23)
+    x = np.zeros((ci,) + tuple(n + 2 * border for n in spatial), dtype)
+    x[(slice(None),) + tuple(slice(border, border + n) for n in spatial)] = \
+        rng.normal(size=(ci,) + spatial)
+    w = rng.normal(size=(co, ci, k, k, k)).astype(dtype)
+    b = rng.normal(size=co).astype(dtype)
+    return x, w, b, dilation, padding
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(RELU_CASES))
+def test_conv_relu_equals_conv_then_relu(case, dtype):
+    """relu=True applies the bias and max(·, 0) to each chunk of the
+    padded-layout output before the crop: the bits of conv, bias, then ReLU,
+    allocating or into a strided `out`."""
+    x, w, b, dilation, padding = relu_case(case, dtype)
+    want = np.maximum(ops.conv3d_forward(x, w, b, 1, dilation, padding), 0)
+    assert 0 < np.count_nonzero(want) < want.size
+    got = ops.conv3d_forward(x, w, b, 1, dilation, padding, relu=True)
+    assert got.dtype == dtype and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    buf = np.full((want.shape[0] + 2,) + tuple(n + 4 for n in want.shape[1:]), np.nan, dtype)
+    out = buf[1:-1, 2:-2, 2:-2, 2:-2]
+    assert ops.conv3d_forward(x, w, b, 1, dilation, padding, out=out, relu=True) is out
+    np.testing.assert_array_equal(out, want)
+    assert np.isnan(buf).sum() == buf.size - out.size
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_relu_out_inside_the_input(k):
+    """As in a dense block's reduction, `out` may be channels of the input's
+    own interior, which the conv reads through its border: the result is
+    that of the call on an untouched copy."""
+    rng = np.random.default_rng(24)
+    x = np.zeros((6, 9, 8, 10))
+    x[:, 1:-1, 1:-1, 1:-1] = rng.normal(size=(6, 7, 6, 8))
+    w, b = rng.normal(size=(4, 6, k, k, k)), rng.normal(size=4)
+    padding = k // 2 - 1
+    want = ops.conv3d_forward(x.copy(), w, b, padding=padding, relu=True)
+    out = x[1:5, 1:-1, 1:-1, 1:-1]
+    assert ops.conv3d_forward(x, w, b, padding=padding, out=out, relu=True) is out
+    np.testing.assert_array_equal(out, want)
+
+
 # --- transposed convolution ------------------------------------------------------
 
 def test_conv_transpose_output_shape():
@@ -590,6 +651,29 @@ def test_pooling_matches_per_tap_oracle(shape, k, stride, padding, dtype):
         np.testing.assert_allclose(
             ops.avgpool3d_backward(x.shape, counts, g, k, stride, padding), ref_gavg,
             rtol=1e-6, atol=1e-6 * np.abs(ref_gavg).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0)])
+@pytest.mark.parametrize("shape", [(3, 8, 6, 10), (2, 7, 9, 5)])
+def test_separable_inference_pools_match_the_per_tap_oracle(shape, k, stride, padding, dtype):
+    """The eval pools reduce one spatial axis at a time, each axis starting
+    from two taps that cover its whole output or from a copy of the only
+    one: a 3-wide window has only its middle tap in bounds for every output
+    at stride 1, and at stride 2 on an odd side.  The max equals the
+    per-tap reference bit for bit; the average sums in another order than
+    avgpool3d_forward's scan-order y, so it matches to a few ulps of the
+    largest entry."""
+    rng = np.random.default_rng(25)
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    for x in tie_heavy_inputs(rng, shape, dtype):
+        ref_max = per_tap_pool(x, k, stride, padding)[0]
+        yavg, _ = ops.avgpool3d_forward(x, k, stride, padding)
+        got_max = ops.maxpool3d_inference(x, k, stride, padding)
+        got_avg = ops.avgpool3d_inference(x, k, stride, padding)
+        assert got_max.dtype == got_avg.dtype == dtype
+        np.testing.assert_array_equal(got_max, ref_max)
+        np.testing.assert_allclose(got_avg, yavg, rtol=tol, atol=tol * np.abs(yavg).max())
 
 
 # --- batch norm ------------------------------------------------------------------
