@@ -26,6 +26,7 @@ import sys
 from dataclasses import fields
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from . import calibration as cal
 from .losses import DEFAULT_LAMBDAS, dsc_metric
@@ -172,6 +173,9 @@ def cmd_evaluate(args) -> int:
         est_pose = read_pose(args.pose_est)     # world -> calibrated
         resid = est_pose.compose(true_pose)     # should be near identity
         metrics["rotation_error_deg"] = rotation_angle_deg(resid.rotation, np.eye(3))
+        # The residual's rotation vector: its parts about calibrated x (roll), y and z.
+        metrics["rotation_error_xyz_deg"] = Rotation.from_matrix(
+            resid.rotation).as_rotvec(degrees=True).tolist()
         metrics["translation_error_mm"] = float(np.linalg.norm(resid.translation))
     text = json.dumps(_jsonable(metrics), indent=2)
     if args.output:

@@ -1,15 +1,18 @@
 """Stateful layer wrappers around the functional primitives.
 
-`forward(x, training)`: a training forward caches what the backward pass
-needs; an eval forward drops any earlier cache and keeps nothing.  ReLU
-works in place on the array the caller hands over, in both passes, and so
-does every batch-norm backward; a batch norm writes its result into the
-caller's `out` when it is given, and a training one keeps its input for
-the backward pass.  An eval `ConvBnRelu` is one conv call,
-with the batch norm folded into its weights and the ReLU applied per
-chunk, and the eval pools are the separable inference ops.  Backward
-accumulates parameter gradients into Param.grad and returns the gradient
-with respect to the input, possibly as a view.
+`forward(x, training)`: a training forward keeps what the backward pass
+needs in the layer's one cache slot, and that backward pass takes the cache
+and empties the slot.  A cache so lives from a training forward to its
+backward, and while backward runs memory follows the live set.  An eval
+forward empties the slot and keeps nothing.  ReLU works in place on the
+array the caller hands over, in both passes, and so does every batch-norm
+backward; a batch norm writes its result into the caller's `out` when it
+is given, and a training one keeps its input for the backward pass.  An
+eval `ConvBnRelu` is one conv call, with the batch norm folded into its
+weights and the ReLU applied per chunk, and the eval pools are the
+separable inference ops.  Backward accumulates parameter gradients into
+Param.grad and returns the gradient with respect to the input, possibly
+as a view.
 
 Every convolution has stride 1 and reads a zero border of
 dilation·(kernel // 2) voxels per side, so it keeps the spatial size.  The
@@ -46,11 +49,20 @@ def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
 
 
 class Layer:
-    """Base: subclasses define .params (dict name -> Param) and .buffers."""
+    """Base: subclasses define .params (dict name -> Param) and .buffers;
+    a leaf layer keeps its training forward's cache in ._cache."""
 
     def __init__(self):
         self.params: dict[str, Param] = {}
         self.buffers: dict[str, np.ndarray] = {}
+        self._cache = None
+
+    def _take_cache(self):
+        """The cache of the last training forward, emptying its slot."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError("backward needs a training forward")
+        return cache
 
 
 def bordered(channels, spatial, dtype):
@@ -70,20 +82,19 @@ class Conv3d(Layer):
         w = glorot_uniform(rng, (out_ch, in_ch, kernel, kernel, kernel),
                            fan_in, fan_out, dtype)
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
-        self._x = None
 
     def forward(self, x, training, out=None, border=0):
         """x carries a zero border `border` voxels wide that the caller put
         there: the conv reads it as padding and leaves any excess out of
         its output.  A training forward keeps x, border and all, and the
         backward pass reads it the same way."""
-        self._x = (x, border) if training else None
+        self._cache = (x, border) if training else None
         return ops.conv3d_forward(x, self.params["w"].data, self.params["b"].data,
                                   dilation=self.dilation, padding=self.padding - border,
                                   out=out)
 
     def backward(self, gy):
-        x, border = self._x
+        x, border = self._take_cache()
         gx, gw, gb = ops.conv3d_backward(x, self.params["w"].data, gy, dilation=self.dilation,
                                          padding=self.padding - border, border=border)
         self.params["w"].grad += gw
@@ -98,15 +109,14 @@ class ConvTranspose3d(Layer):
         super().__init__()
         w = glorot_uniform(rng, (in_ch, out_ch, 2, 2, 2), in_ch * 8, out_ch * 8, dtype)
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
-        self._x = None
 
     def forward(self, x, training, out=None):
-        self._x = x if training else None
+        self._cache = x if training else None
         return ops.conv_transpose3d_forward(x, self.params["w"].data, self.params["b"].data,
                                             out=out)
 
     def backward(self, gy):
-        gx, gw, gb = ops.conv_transpose3d_backward(self._x, self.params["w"].data, gy)
+        gx, gw, gb = ops.conv_transpose3d_backward(self._take_cache(), self.params["w"].data, gy)
         self.params["w"].grad += gw
         self.params["b"].grad += gb
         return gx
@@ -123,7 +133,6 @@ class BatchNorm3d(Layer):
             "running_mean": np.zeros(channels, dtype=np.float64),
             "running_var": np.ones(channels, dtype=np.float64),
         }
-        self._cache = None
 
     def forward(self, x, training, out=None):
         """The result is written into `out` when it is given; a training
@@ -136,7 +145,7 @@ class BatchNorm3d(Layer):
 
     def backward(self, gy):
         """Works in place on gy, which the caller hands over."""
-        gx, ggamma, gbeta = ops.batchnorm_backward(self._cache, gy, out=gy)
+        gx, ggamma, gbeta = ops.batchnorm_backward(self._take_cache(), gy, out=gy)
         self.params["gamma"].grad += ggamma
         self.params["beta"].grad += gbeta
         return gx
@@ -147,21 +156,21 @@ class ReLU(Layer):
 
     def forward(self, x, training):
         y, cache = ops.relu_forward(x, out=x)
-        self._y = cache if training else None
+        self._cache = cache if training else None
         return y
 
     def backward(self, gy):
-        return ops.relu_backward(self._y, gy, out=gy)
+        return ops.relu_backward(self._take_cache(), gy, out=gy)
 
 
 class Sigmoid(Layer):
     def forward(self, x, training):
         y, cache = ops.sigmoid_forward(x)
-        self._y = cache if training else None
+        self._cache = cache if training else None
         return y
 
     def backward(self, gy):
-        return ops.sigmoid_backward(self._y, gy)
+        return ops.sigmoid_backward(self._take_cache(), gy)
 
 
 class MaxPool3d(Layer):
@@ -171,14 +180,14 @@ class MaxPool3d(Layer):
 
     def forward(self, x, training):
         if not training:
-            self._shape = self._arg = None
+            self._cache = None
             return ops.maxpool3d_inference(x, *self.pool)
-        y, self._arg = ops.maxpool3d_forward(x, *self.pool)
-        self._shape = x.shape
+        y, arg = ops.maxpool3d_forward(x, *self.pool)
+        self._cache = (x.shape, arg)
         return y
 
     def backward(self, gy):
-        return ops.maxpool3d_backward(self._shape, self._arg, gy, *self.pool)
+        return ops.maxpool3d_backward(*self._take_cache(), gy, *self.pool)
 
 
 class AvgPool3d(Layer):
@@ -188,14 +197,14 @@ class AvgPool3d(Layer):
 
     def forward(self, x, training):
         if not training:
-            self._shape = self._counts = None
+            self._cache = None
             return ops.avgpool3d_inference(x, *self.pool)
-        y, self._counts = ops.avgpool3d_forward(x, *self.pool)
-        self._shape = x.shape
+        y, counts = ops.avgpool3d_forward(x, *self.pool)
+        self._cache = (x.shape, counts)
         return y
 
     def backward(self, gy):
-        return ops.avgpool3d_backward(self._shape, self._counts, gy, *self.pool)
+        return ops.avgpool3d_backward(*self._take_cache(), gy, *self.pool)
 
 
 class ConvBnRelu(Layer):
@@ -220,7 +229,7 @@ class ConvBnRelu(Layer):
             y = self.bn.forward(self.conv.forward(x, True, border=border), True, out)
             return self.relu.forward(y, True)
         conv, bn = self.conv, self.bn
-        conv._x = bn._cache = self.relu._y = None
+        conv._cache = bn._cache = self.relu._cache = None
         w, b = ops.fold_batchnorm(conv.params["w"].data, conv.params["b"].data,
                                   bn.params["gamma"].data, bn.params["beta"].data,
                                   bn.buffers["running_mean"], bn.buffers["running_var"])

@@ -50,7 +50,9 @@ one spatial axis at a time, k taps per axis: each axis starts from the max
 or sum of two taps that cover its whole output, or a copy of the only one,
 so no array is filled first.  The max is exact, because max does not depend
 on order, and a training max pool then finds the argmax in one pass over
-the taps, last to first, so the first tap in scan order wins ties.  A
+the taps, last to first, so the first tap in scan order wins ties.  Its
+backward pass is one `np.add.at` scatter onto the winning inputs, ordered
+by tap, so each input sums its gradients as a loop over the taps would.  A
 training average pool sums its k³ taps in scan order, like the nested-loop
 definition, and scatters its gradient one axis at a time; the inference one
 sums in the separable order, so its bits differ by rounding.  Both divide
@@ -376,17 +378,20 @@ def maxpool3d_forward(x, k, stride, padding=0):
 
 
 def maxpool3d_backward(x_shape, arg, grad_out, k, stride, padding=0):
-    """Each tap scatters grad_out times its 0/1 argmax mask, built in one
-    reused bool buffer and one reused value buffer."""
-    _, axes = _pool_taps(x_shape, k, stride, padding)
-    gx = np.zeros(x_shape, dtype=grad_out.dtype)
-    hit = np.empty(arg.shape, dtype=bool)
-    val = np.empty_like(grad_out)
-    for tap, (dst, src) in enumerate(_taps3(axes)):
-        np.equal(arg[dst], tap, out=hit[dst])
-        np.multiply(grad_out[dst], hit[dst], out=val[dst])
-        gx[src] += val[dst]
-    return gx
+    """One scatter of grad_out onto each output's winning input, whose flat
+    index is its window's tap-0 corner plus the offset of tap `arg`.  The
+    contributions are sorted stably by tap, so each input voxel adds its
+    windows' gradients in tap order, as a loop over the taps would."""
+    c, d, h, w = x_shape
+    corner = [stride * np.arange(n, dtype=np.int64) - padding for n in arg.shape[1:]]
+    corner = (np.arange(c, dtype=np.int64)[:, None, None, None] * (d * h * w)
+              + corner[0][:, None, None] * (h * w) + corner[1][:, None] * w + corner[2])
+    taps = np.arange(k, dtype=np.int64)
+    offset = (taps[:, None, None] * (h * w) + taps[:, None] * w + taps).ravel()
+    order = np.argsort(arg, axis=None, kind="stable")
+    gx = np.zeros(c * d * h * w, dtype=grad_out.dtype)
+    np.add.at(gx, (corner + offset[arg]).ravel()[order], grad_out.ravel()[order])
+    return gx.reshape(x_shape)
 
 
 def _pool_counts(out, axes, dtype):

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from tbcalib.nn.layers import Layer
+
 
 def rel_err(a, b):
     """Relative error between two gradient arrays (norm form)."""
@@ -30,3 +32,32 @@ def numeric_grad(f, x, h=1e-6):
         flat[i] = old
         gf[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def reachable_layers(net):
+    """Every Layer reachable from net through attributes, lists and tuples."""
+    found, stack, seen = [], [net], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Layer):
+            found.append(obj)
+        for value in vars(obj).values():
+            items = value if isinstance(value, (list, tuple)) else [value]
+            stack.extend(v for v in items if isinstance(v, Layer))
+    return found
+
+
+def cached_arrays(net):
+    """(layer attribute, value) for every array a layer holds outside its
+    params and buffers, over every Layer reachable from the net."""
+    found = []
+    for layer in reachable_layers(net):
+        for name, value in vars(layer).items():
+            items = value if isinstance(value, (list, tuple)) else [value]
+            if name not in ("params", "buffers") and any(
+                    isinstance(v, np.ndarray) for v in items):
+                found.append((f"{type(layer).__name__}.{name}", value))
+    return found

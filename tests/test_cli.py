@@ -7,7 +7,8 @@ import pytest
 from tbcalib import cli, segment
 from tbcalib.cli import _per_component_dsc, main
 from tbcalib.nn import MFFNet, save_checkpoint
-from tbcalib.phantom import PoseError, read_pose
+from tbcalib.phantom import (PoseError, RigidPose, read_pose, rotation_from_euler_deg,
+                             write_pose)
 from tbcalib.train import train_network
 from tbcalib.volume import LabelMask, read_mvol, write_mvol
 
@@ -145,6 +146,23 @@ def test_calibrate_and_evaluate(phantom_dir, tmp_path):
     assert metrics["rank"] == "Excellent"
     assert metrics["rotation_error_deg"] < 1.0
     assert metrics["translation_error_mm"] < 1.0
+
+
+def test_evaluate_reports_the_rotation_error_about_each_calibrated_axis(phantom_dir, tmp_path):
+    """An estimate that undoes a skewed true pose and then rolls 2° about
+    calibrated x reads a residual of [2, 0, 0] degrees."""
+    true_pose = RigidPose(rotation_from_euler_deg(5, -4, 8), np.array([1.0, 0.0, -1.0]))
+    roll = RigidPose(rotation_from_euler_deg(2, 0, 0), np.zeros(3))
+    write_pose(true_pose, tmp_path / "true.txt")
+    write_pose(roll.compose(true_pose.inverse()), tmp_path / "est.txt")
+    metrics_path = tmp_path / "m.json"
+    assert run("evaluate", "--pred", phantom_dir / "mask.mvol",
+               "--pose-true", tmp_path / "true.txt", "--pose-est", tmp_path / "est.txt",
+               "--output", metrics_path) == 0
+    metrics = json.loads(metrics_path.read_text())
+    np.testing.assert_allclose(metrics["rotation_error_xyz_deg"], [2, 0, 0], atol=1e-6)
+    assert metrics["rotation_error_deg"] == pytest.approx(2.0, abs=1e-6)
+    assert metrics["translation_error_mm"] < 1e-6
 
 
 def test_calibrate_failure_exit_code(phantom_dir, tmp_path):

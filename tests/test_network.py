@@ -5,10 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import cached_arrays, reachable_layers, rel_err
 from tbcalib.nn import (Adam, DenseBlock, DilatedConvModule, MFFNet,
                         MultiPoolModule, NetworkConfig, ops)
-from tbcalib.nn.layers import ConvBnRelu, Layer
+from tbcalib.nn.layers import (AvgPool3d, BatchNorm3d, Conv3d, ConvBnRelu, ConvTranspose3d,
+                               MaxPool3d, ReLU, Sigmoid)
 
 
 def tiny_config():
@@ -360,22 +361,71 @@ def test_training_step_peak_allocation_on_a_cuboid():
     assert peak < 180e6, peak / 1e6
 
 
-def cached_arrays(net):
-    """(layer attribute, value) for every array a layer holds outside its
-    params and buffers, over every Layer reachable from the net."""
-    found, stack, seen = [], [net], set()
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        for name, value in vars(obj).items():
-            items = value if isinstance(value, (list, tuple)) else [value]
-            if isinstance(obj, Layer) and name not in ("params", "buffers") and any(
-                    isinstance(v, np.ndarray) for v in items):
-                found.append((f"{type(obj).__name__}.{name}", value))
-            stack.extend(v for v in items if isinstance(v, Layer))
-    return found
+@pytest.fixture(scope="module")
+def traced_training_step():
+    """(net, held, peak) of one traced 48^3 training forward plus backward
+    of the default net, after an untraced warm-up step: the traced bytes
+    still allocated after the backward, and the step's peak."""
+    net = MFFNet(NetworkConfig(), seed=0)
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(1, 48, 48, 48)).astype(np.float32)
+    grad_main, *grad_aux = (rng.normal(size=x.shape).astype(np.float32) for _ in range(3))
+    net.forward(x, training=True)
+    net.backward(grad_main, grad_aux)
+    tracemalloc.start()
+    try:
+        net.forward(x, training=True)
+        net.backward(grad_main, grad_aux)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return net, held, peak
+
+
+def test_training_backward_empties_every_cache(traced_training_step):
+    """Each layer's backward pass takes its cache and empties the slot, so
+    nothing of the step's activations outlives it.  Measured 0.0 MB held;
+    101.8 MB stayed held when every layer kept its cache until the next
+    forward."""
+    net, held, _ = traced_training_step
+    assert all(layer._cache is None for layer in reachable_layers(net))
+    assert cached_arrays(net) == []
+    assert held < 2e6, held / 1e6
+
+
+def test_training_step_peak_follows_the_live_set(traced_training_step):
+    """Peak traced allocation of one 48^3 training forward plus backward,
+    with each cache freed by its own backward.  Measured 128.3 MB; it was
+    168.9 MB when the backward's peak also held every cache it had used."""
+    _, _, peak = traced_training_step
+    assert peak < 140e6, peak / 1e6
+
+
+LEAF_LAYERS = {
+    "Conv3d": lambda: Conv3d(2, 3, 3, np.random.default_rng(0)),
+    "ConvTranspose3d": lambda: ConvTranspose3d(2, 3, np.random.default_rng(0)),
+    "BatchNorm3d": lambda: BatchNorm3d(2),
+    "ReLU": ReLU,
+    "Sigmoid": Sigmoid,
+    "MaxPool3d": lambda: MaxPool3d(3),
+    "AvgPool3d": lambda: AvgPool3d(2),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAF_LAYERS))
+def test_layer_backward_needs_a_training_forward(name):
+    """A leaf layer's backward raises on a fresh layer, after an eval
+    forward, and a second time after one training forward."""
+    layer, fresh = LEAF_LAYERS[name](), LEAF_LAYERS[name]()
+    x = np.random.default_rng(19).normal(size=(2, 4, 4, 4)).astype(np.float32)
+    gy = np.ones_like(layer.forward(x.copy(), training=False))
+    for untrained in (fresh, layer):
+        with pytest.raises(RuntimeError, match="training forward"):
+            untrained.backward(gy.copy())
+    layer.forward(x.copy(), training=True)
+    assert layer.backward(gy.copy()).shape == x.shape
+    with pytest.raises(RuntimeError, match="training forward"):
+        layer.backward(gy.copy())
 
 
 def test_eval_forward_leaves_no_cached_array():

@@ -653,6 +653,34 @@ def test_pooling_matches_per_tap_oracle(shape, k, stride, padding, dtype):
             rtol=1e-6, atol=1e-6 * np.abs(ref_gavg).max())
 
 
+def masked_tap_maxpool_backward(x_shape, arg, grad_out, k, stride, padding):
+    """The max-pool backward as a loop over the k³ taps: each tap adds
+    grad_out times its 0/1 argmax mask into the input's strided slice."""
+    _, axes = ops._pool_taps(x_shape, k, stride, padding)
+    gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    for tap, (dst, src) in enumerate(ops._taps3(axes)):
+        gx[src] += grad_out[dst] * (arg[dst] == tap)
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0)])
+@pytest.mark.parametrize("shape", [(3, 8, 6, 10), (2, 7, 9, 5)])
+def test_maxpool_scatter_equals_the_masked_tap_loop_bit_for_bit(shape, k, stride, padding,
+                                                                 dtype):
+    """The one ordered scatter adds each input's window gradients in tap
+    order, as the tap loop does, so the bytes match, signed zeros included."""
+    rng = np.random.default_rng(26)
+    for x in tie_heavy_inputs(rng, shape, dtype):
+        _, arg = ops.maxpool3d_forward(x, k, stride, padding)
+        g = rng.normal(size=arg.shape).astype(dtype)
+        g[:, ::2] *= -0.0  # signed zeros among the contributions
+        got = ops.maxpool3d_backward(x.shape, arg, g, k, stride, padding)
+        want = masked_tap_maxpool_backward(x.shape, arg, g, k, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0)])
 @pytest.mark.parametrize("shape", [(3, 8, 6, 10), (2, 7, 9, 5)])

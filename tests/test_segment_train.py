@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import cached_arrays, reachable_layers
 from tbcalib import segment
 from tbcalib.nn import MFFNet, NetworkConfig
 from tbcalib.nn.checkpoint import (CheckpointError, load_checkpoint,
@@ -92,6 +93,15 @@ def test_train_deterministic_in_seed():
     assert [h["total"] for h in hist_a] == [h["total"] for h in hist_b]
     for (_, pa), (_, pb) in zip(net_a.named_params(), net_b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def test_trained_net_holds_no_cached_activations():
+    """Each backward pass empties its layers' caches, so the net that
+    train_network returns keeps no activation of its last sample."""
+    vol, mask, _ = phantom()
+    net, _ = train_network(vol, mask, iterations=1, config=tiny_config())
+    assert all(layer._cache is None for layer in reachable_layers(net))
+    assert cached_arrays(net) == []
 
 
 def test_train_writes_csv_log(tmp_path):
