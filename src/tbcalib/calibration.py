@@ -122,8 +122,8 @@ def refine_sagittal(left: np.ndarray, right: np.ndarray,
 
     Returns (P0, x_axis, dict with iterations/l1/converged/p1/p2).
     """
-    if l0 <= 0:
-        raise ValueError("l0 must be positive")
+    if not l0 > 0:  # NaN included; inf stops after one iteration
+        raise ValueError(f"l0 must be positive, got {l0}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     d = np.array([1.0, 0.0, 0.0])
@@ -264,8 +264,8 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING):
     start).  The calls run on one thread per CPU this process may use; the
     windows do not depend on that count.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     nx, ny, nz = vol.dims
     src = _box_corners((0, 0, 0), (nx - 1, ny - 1, nz - 1))  # a volume's source box
     corners_cal = pose.apply(vol.world(src))

@@ -12,9 +12,11 @@ Every stage exits 0 when done, 1 when it ran but produced no result (an
 empty threshold or network segmentation, a diverged training, a `Failed`
 calibration, which includes a mask whose canals are degenerate), and 2 on a
 bad flag, file or file content (an `infer --threshold` outside (0, 1), a
-`train --iterations` below 1, a mask off its volume's grid included).  A nonzero exit prints one
-`error: <message>` line on stderr and `infer` then writes no mask; `main`
-alone maps exceptions to these codes.
+`train --iterations` below 1, a non-finite or non-positive `train --lr` or
+`calibrate --spacing`, a NaN or non-positive `calibrate --l0`, a mask off
+its volume's grid included).  A nonzero exit prints one `error: <message>`
+line on stderr and `infer` then writes no mask; `main` alone maps
+exceptions to these codes.
 """
 
 from __future__ import annotations

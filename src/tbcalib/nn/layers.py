@@ -17,10 +17,11 @@ as a view.
 Every convolution has stride 1 and reads a zero border of
 dilation·(kernel // 2) voxels per side, so it keeps the spatial size.  The
 op pads a copy of the input unless the caller hands over an input that
-carries the border already (`border`, as in a `bordered` buffer), and the
-conv layers write their output into the caller's `out` when it is given.
-A training conv keeps that input, border and all, and its backward pass
-reads the border in place in the same way.
+carries the border already (`border`, as in a `bordered` buffer).  A
+`ConvBnRelu` and a transposed conv write their output into the caller's
+`out` when it is given; a bare `Conv3d`, used only for the three
+one-channel output convs, returns a new array.  A training conv keeps its input, border and
+all, and its backward pass reads the border in place in the same way.
 Every pool has stride 2 and padding (kernel - 1) // 2 per side, so it
 halves an even spatial size.
 """
@@ -83,15 +84,14 @@ class Conv3d(Layer):
                            fan_in, fan_out, dtype)
         self.params = {"w": Param(w), "b": Param(np.zeros(out_ch, dtype=dtype))}
 
-    def forward(self, x, training, out=None, border=0):
+    def forward(self, x, training, border=0):
         """x carries a zero border `border` voxels wide that the caller put
         there: the conv reads it as padding and leaves any excess out of
         its output.  A training forward keeps x, border and all, and the
         backward pass reads it the same way."""
         self._cache = (x, border) if training else None
         return ops.conv3d_forward(x, self.params["w"].data, self.params["b"].data,
-                                  dilation=self.dilation, padding=self.padding - border,
-                                  out=out)
+                                  dilation=self.dilation, padding=self.padding - border)
 
     def backward(self, gy):
         x, border = self._take_cache()

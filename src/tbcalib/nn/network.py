@@ -174,11 +174,8 @@ class MFFNet:
         self._forward_done = False
 
     def children(self):
-        return {name: getattr(self, name) for name in (
-            "stem", "db1", "mp1", "db2", "mp2", "dcm",
-            "up1", "dec1", "up2", "dec2", "out_conv",
-            "head12_conv", "head12_up1", "head12_up2", "head24_conv", "head24_up",
-        )}
+        """Every Layer-valued attribute, in the order __init__ set them."""
+        return {name: v for name, v in vars(self).items() if isinstance(v, Layer)}
 
     def named_params(self):
         for lname, layer in named_layers(self):

@@ -4,28 +4,28 @@ arrays, each with an exact analytic backward pass.
 All convolutions are cross-correlations.  Spatial dims are ordered
 (depth, height, width) = (z, y, x).
 
-Conv3d runs on a flat padded layout: the zero-padded input (C, Dp, Hp, Wp)
-is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw) is the shift
-dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every tap is a
-plain slice.  The output is computed on the padded layout, one chunk of n
-flat positions at a time, and its valid region cropped out, bias added,
-into a new array or the caller's `out`; a conv followed by ReLU adds the
-bias and clips each chunk while it is in cache, and its crop is a copy.
-The forward pass stacks only
-the k depth-shifted slabs of the input into `cols`, of shape
-(k·Ci, n + span), span being the largest in-plane shift; one GEMM with the
-kernel laid out as (k²·Co, k·Ci) gives a partial output for each in-plane
-tap (kh, kw), and the chunk is the sum of the k² partials, each
-read at its shift dilation·(kh·Wp + kw) (the im2col/kn2row hybrid of
-Anderson et al., arXiv:1709.03395).  That copies k·Ci rows and writes
-k²·Co partial rows in place of the k³·Ci rows of a full im2col, so it is
-used when (k² - 1)·Ci > 2k·Co; with fewer input channels, as in the
-one-channel stem, `cols` stacks all k³ shifted slices and one (Co, k³·Ci)
-GEMM writes the output.  A 1³ conv is one GEMM on the input itself, and
-an unpadded, unstrided one has a backward pass of two: wᵀ @ grad_out and
-grad_out @ xᵀ.  Any other backward pass places grad_out on the padded
-layout behind a margin of the largest shift and stacks its k³ shifted
-slices on the Co side, so one (k³·Co, n) chunk gives both grad_x
+Conv3d runs on a flat padded layout: the input, zero-padded by np.pad to
+(C, Dp, Hp, Wp), is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw)
+is the shift dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every
+tap is a plain slice.  The output is computed on the padded layout, one
+chunk of n flat positions at a time; each chunk gets its bias, and its ReLU
+in a conv followed by one, right after its GEMM, while it is in cache, and
+the valid region is then cropped out in one copy, into a new array or the
+caller's `out`.  The forward pass stacks only the k depth-shifted slabs of
+the input into `cols`, of shape (k·Ci, n + span), span being the largest
+in-plane shift; one GEMM with the kernel laid out as (k²·Co, k·Ci) gives a
+partial output for each in-plane tap (kh, kw), and the chunk is the sum of
+the k² partials, each read at its shift dilation·(kh·Wp + kw) (the
+im2col/kn2row hybrid of Anderson et al., arXiv:1709.03395).  That copies
+k·Ci rows and writes k²·Co partial rows in place of the k³·Ci rows of a
+full im2col, so it is used when (k² - 1)·Ci > 2k·Co; with fewer input
+channels, as in the one-channel stem, `cols` stacks all k³ shifted slices
+and one (Co, k³·Ci) GEMM writes the chunk.  A 1³ conv takes that loop with
+its one tap, whose `cols` is a view of the input, read in place.  An
+unpadded, unstrided 1³ conv has a backward pass of two GEMMs,
+wᵀ @ grad_out and grad_out @ xᵀ.  Any other backward pass places grad_out
+on the padded layout behind a margin of the largest shift and stacks its k³
+shifted slices on the Co side, so one (k³·Co, n) chunk gives both grad_x
 (wᵀ @ cols) and grad_w (cols @ x_padᵀ): grad_w needs every tap's slice of
 grad_out, which a depth-stacked chunk would only give through k² narrow
 GEMMs.  grad_x is returned as the interior view of its padded-layout
@@ -104,14 +104,10 @@ def conv3d_output_shape(spatial, k, stride, dilation, padding):
 
 
 def _flat_padded(x, p, k, dilation):
-    """x zero-padded by p and flattened to (C, Dp·Hp·Wp), its padded spatial
+    """x zero-padded by p (np.pad) and flattened to (C, Dp·Hp·Wp), its padded
     shape, the flat shift of each depth tap kd and of each in-plane tap
     (kh, kw) in scan order; tap (kd, kh, kw) is the sum of the two."""
-    xp = x
-    if p:  # one interior copy: np.pad writes each face in its own pass
-        c, d, h, w = x.shape
-        xp = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, p:p + d, p:p + h, p:p + w] = x
+    xp = np.pad(x, ((0, 0),) + ((p, p),) * 3) if p else x
     _, dp, hp, wp = xp.shape
     depth = [dilation * kd * hp * wp for kd in range(k)]
     plane = [dilation * (kh * wp + kw) for kh, kw in np.ndindex(k, k)]
@@ -123,19 +119,19 @@ def _stacked_chunks(src, starts, span, lo, hi, part_rows):
     of cols holds src[:, starts[t] + a : starts[t] + b + span], and part is
     an uninitialised (part_rows, b - a + span) buffer for the GEMM on cols.
     The two reused buffers hold at most COLS_BYTES together, or one chunk
-    of one column."""
+    of one column.  A single start stacks nothing: cols is then a view of
+    src, read in place."""
     rows = len(starts) * src.shape[0]
     n = max(1, COLS_BYTES // ((rows + part_rows) * src.itemsize) - span)
     n = min(n, hi - lo)
-    cols = np.empty((rows, n + span), dtype=src.dtype)
+    cols = np.empty((rows, n + span), dtype=src.dtype) if len(starts) > 1 else None
     part = np.empty((part_rows, n + span), dtype=src.dtype)
-    c = src.shape[0]
     for a in range(lo, hi, n):
         b = min(a + n, hi)
         m = b - a + span
-        for t, s in enumerate(starts):
-            cols[t * c:(t + 1) * c, :m] = src[:, s + a:s + a + m]
-        yield a, b, cols[:, :m], part[:, :m]
+        slabs = [src[:, s + a:s + a + m] for s in starts]
+        stacked = slabs[0] if cols is None else np.concatenate(slabs, out=cols[:, :m])
+        yield a, b, stacked, part[:, :m]
 
 
 def _shift_add(part, shifts, out):
@@ -158,10 +154,11 @@ def interior(a, border=1):
     return a[:, border:-border, border:-border, border:-border] if border else a
 
 
-def _bias_relu(y, b):
-    """max(y + b, 0) per row of y, in place."""
+def _bias_relu(y, b, relu):
+    """y + b per row of y, then max(·, 0) when relu is set, in place."""
     y += b[:, None]
-    np.maximum(y, 0, out=y)
+    if relu:
+        np.maximum(y, 0, out=y)
 
 
 def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=False):
@@ -170,9 +167,10 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
 
     x: (Ci, D, H, W); w: (Co, Ci, k, k, k); b: (Co,).  A negative padding
     leaves out the outer -padding voxels of x, a border the caller put
-    there.  The result is written into `out` when it is given, and
-    returned.  With `relu`, each chunk of the padded-layout output gets its
-    bias and ReLU right after its GEMM, and the crop is a plain copy.
+    there.  The result, of x's dtype, is written into `out` when it is
+    given, and returned.  Each chunk of the padded-layout output gets its
+    bias, and its ReLU with `relu`, right after its GEMM; the crop is one
+    copy.  A 1³ conv reads x in place, as the every-tap loop's one tap.
     """
     ci, d, h, wd = x.shape
     co, ci_w, k, k2, k3 = w.shape
@@ -181,41 +179,29 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
     if not (k == k2 == k3):
         raise ValueError("kernel must be cubic")
     shape = (co,) + conv3d_output_shape((d, h, wd), k, stride, dilation, padding)
-    _check_out(out, shape, np.result_type(x, w, b))
+    _check_out(out, shape, x.dtype)
     d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
     xf, (_, hp, wp), depth, plane = _flat_padded(x, max(padding, 0), k, dilation)
     q = max(-padding, 0)
     xf = xf[:, (q * hp + q) * wp + q:]  # from the first output's corner
     n_out = min(d1 * hp * wp, xf.shape[1] - depth[-1] - plane[-1])  # last tap still in range
-    if k == 1:
-        yf = w.reshape(co, ci) @ xf[:, :n_out]
-        if relu:
-            _bias_relu(yf, b)
+    yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
+    if (k * k - 1) * ci > 2 * k * co:  # depth-stacked moves fewer rows
+        wz = w.transpose(3, 4, 0, 2, 1).reshape(k * k * co, k * ci)  # rows (kh, kw, co)
+        for a, e, cols, part in _stacked_chunks(xf, depth, plane[-1], 0, n_out, k * k * co):
+            np.matmul(wz, cols, out=part)
+            _shift_add(part, plane, yf[:, a:e])
+            _bias_relu(yf[:, a:e], b, relu)
     else:
-        yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
-        if (k * k - 1) * ci > 2 * k * co:  # depth-stacked moves fewer rows
-            wz = w.transpose(3, 4, 0, 2, 1).reshape(k * k * co, k * ci)  # rows (kh, kw, co)
-            for a, e, cols, part in _stacked_chunks(xf, depth, plane[-1], 0, n_out, k * k * co):
-                np.matmul(wz, cols, out=part)
-                _shift_add(part, plane, yf[:, a:e])
-                if relu:
-                    _bias_relu(yf[:, a:e], b)
-        else:
-            wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
-            offs = [z + s for z in depth for s in plane]
-            for a, e, cols, part in _stacked_chunks(xf, offs, 0, 0, n_out, 0):
-                np.matmul(wm, cols, out=yf[:, a:e])
-                if relu:
-                    _bias_relu(yf[:, a:e], b)
-        del cols, part  # free before the crop copy; both view the chunk buffers
-    del xf
-    y = yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride]
-    if not relu:
-        return np.add(y, b[:, None, None, None], out=out)
-    if out is None:
-        return y.copy()
-    out[...] = y
-    return out
+        wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
+        offs = [z + s for z in depth for s in plane]
+        for a, e, cols, part in _stacked_chunks(xf, offs, 0, 0, n_out, 0):
+            np.matmul(wm, cols, out=yf[:, a:e])
+            _bias_relu(yf[:, a:e], b, relu)
+    del xf, cols, part  # drop the chunk buffers before the crop copy
+    y = np.empty(shape, dtype=x.dtype) if out is None else out
+    y[...] = yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride]
+    return y
 
 
 def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):

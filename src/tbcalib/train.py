@@ -53,6 +53,8 @@ def train_network(vol: Volume, mask: LabelMask,
     if iterations < 0 or batch_size < 1:
         raise ValueError(f"need iterations >= 0 and batch_size >= 1, "
                          f"got {iterations} and {batch_size}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if fixed_offset is not None and batch_size > 1:
         raise ValueError(f"fixed_offset trains on one window, got batch_size {batch_size}")
     net = MFFNet(config, seed=seed)

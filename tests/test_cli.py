@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -503,6 +504,17 @@ STAGE_FAILURES = [
                   "--threshold", "2"), id="infer-threshold-2"),
     pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
                   "--iterations", "0", "--loss-log", "{log}"), id="train-zero-iterations"),
+    pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--iterations", "1", "--lr", "nan", "--loss-log", "{log}"), id="train-nan-lr"),
+    pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--iterations", "1", "--lr=-0.001", "--loss-log", "{log}"),
+                 id="train-negative-lr"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--l0", "nan"), id="calibrate-nan-l0"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--spacing", "nan"), id="calibrate-nan-spacing"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--spacing", "inf"), id="calibrate-inf-spacing"),
 ]
 
 
@@ -526,6 +538,20 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
         report = json.loads((out / "report.json").read_text())
         assert report["rank"] == "Failed" and "collinear" in report["error"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_calibrate_non_finite_spacing_is_refused_before_resampling(small_phantom_dir, tmp_path,
+                                                                   capsys, value):
+    """The output spacing is checked before any sampling arithmetic, so
+    numpy warns about nothing: under warnings-as-errors the run still
+    exits 2 with the spacing's own message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("calibrate", "--input", small_phantom_dir / "volume.mvol",
+                   "--mask", small_phantom_dir / "mask.mvol", "--output", tmp_path / "out",
+                   "--spacing", value) == 2
+    assert capsys.readouterr().err == f"error: spacing must be positive and finite, got {value}\n"
 
 
 def test_infer_empty_segmentation_exits_1(small_phantom_dir, checkpoint_path, tmp_path, capsys,

@@ -9,7 +9,7 @@ from conftest import cached_arrays, reachable_layers, rel_err
 from tbcalib.nn import (Adam, DenseBlock, DilatedConvModule, MFFNet,
                         MultiPoolModule, NetworkConfig, ops)
 from tbcalib.nn.layers import (AvgPool3d, BatchNorm3d, Conv3d, ConvBnRelu, ConvTranspose3d,
-                               MaxPool3d, ReLU, Sigmoid)
+                               MaxPool3d, ReLU, Sigmoid, named_layers)
 
 
 def tiny_config():
@@ -523,3 +523,16 @@ def test_adam_bias_correction_first_step():
     opt.step()
     # after bias correction the first update magnitude is ~lr regardless of g
     assert p.data[0] == pytest.approx(1.0 - 0.5, abs=1e-6)
+
+
+def test_named_params_reach_every_layer_with_state():
+    """The net's children are its Layer attributes in definition order, so
+    every layer holding parameters or buffers is named exactly once, a
+    layer attached later included: Adam and the checkpoint see them all."""
+    net = MFFNet()
+    net.extra = Conv3d(2, 1, 1, np.random.default_rng(0))
+    names = [name for name, _ in named_layers(net)]
+    layers = [id(layer) for _, layer in named_layers(net)]
+    assert len(set(names)) == len(names) and len(set(layers)) == len(layers)
+    assert {id(l) for l in reachable_layers(net) if l.params or l.buffers} <= set(layers)
+    assert [name for name, _ in net.named_params()][-2:] == ["extra.w", "extra.b"]

@@ -360,6 +360,79 @@ def test_conv_relu_out_inside_the_input(k):
     np.testing.assert_array_equal(out, want)
 
 
+# (ci, co, spatial, k, stride, dilation, padding, border): x carries a zero
+# border of `border` voxels per side around the spatial extent
+BIAS_CASES = {
+    "caller_border_1x1": (6, 4, (9, 8, 10), 1, 1, 1, -1, 1),
+    "depth_stacked": (8, 6, (40, 40, 40), 3, 1, 1, 1, 0),
+    "one_channel_every_tap": (1, 8, (41, 40, 40), 3, 1, 1, 1, 0),
+    "stride_2": (3, 2, (9, 7, 11), 3, 2, 1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(BIAS_CASES))
+def test_conv_bias_is_one_add_after_the_tap_sum(case, dtype):
+    """Each chunk gets its bias right after its GEMM: byte for byte the
+    conv without bias plus b, allocating or into a strided `out`."""
+    ci, co, spatial, k, stride, dilation, padding, border = BIAS_CASES[case]
+    rng = np.random.default_rng(25)
+    x = np.zeros((ci,) + tuple(n + 2 * border for n in spatial), dtype)
+    x[(slice(None),) + tuple(slice(border, border + n) for n in spatial)] = \
+        rng.normal(size=(ci,) + spatial)
+    w = rng.normal(size=(co, ci, k, k, k)).astype(dtype)
+    b = rng.normal(size=co).astype(dtype)
+    args = (stride, dilation, padding)
+    want = ops.conv3d_forward(x, w, np.zeros_like(b), *args) + b[:, None, None, None]
+    got = ops.conv3d_forward(x, w, b, *args)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    buf = np.full((want.shape[0] + 2,) + tuple(n + 4 for n in want.shape[1:]), np.nan, dtype)
+    out = buf[1:-1, 2:-2, 2:-2, 2:-2]
+    assert ops.conv3d_forward(x, w, b, *args, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert np.isnan(buf).sum() == buf.size - out.size
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_output_takes_the_input_dtype(k):
+    """Every path casts its chunks into an output of x's dtype, whatever
+    the weights' dtype, and `out` must have that dtype."""
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(4, 6, 7, 8)).astype(np.float32)
+    w, b = rng.normal(size=(3, 4, k, k, k)), rng.normal(size=3)
+    y = ops.conv3d_forward(x, w, b, padding=k // 2)
+    assert y.dtype == np.float32
+    out = np.empty_like(y)
+    assert ops.conv3d_forward(x, w, b, padding=k // 2, out=out) is out
+    np.testing.assert_array_equal(out, y)
+    with pytest.raises(ValueError, match="out must be"):
+        ops.conv3d_forward(x, w, b, padding=k // 2, out=y.astype(np.float64))
+
+
+def test_one_voxel_conv_reads_its_input_in_place():
+    """A 1^3 conv over a bordered stack, as a dense block's reduction reads
+    it (40 channels of 50^3 float32, padding -1, 20 MB), allocates its
+    padded-layout output and the crop and nothing of the input's size: its
+    one tap's `cols` is a view of the stack, not a copy."""
+    ci, co, n = 40, 16, 48
+    rng = np.random.default_rng(26)
+    x = np.zeros((ci, n + 2, n + 2, n + 2), np.float32)
+    x[:, 1:-1, 1:-1, 1:-1] = rng.normal(size=(ci, n, n, n))
+    w = rng.normal(size=(co, ci, 1, 1, 1)).astype(np.float32)
+    b = rng.normal(size=co).astype(np.float32)
+    ops.conv3d_forward(x, w, b, 1, 1, -1, relu=True)
+    tracemalloc.start()
+    try:
+        ops.conv3d_forward(x, w, b, 1, 1, -1, relu=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded_layout = co * n * (n + 2) ** 2 * 4
+    crop = co * n ** 3 * 4
+    assert peak <= padded_layout + crop + (1 << 20), peak / 1e6
+
+
 # --- transposed convolution ------------------------------------------------------
 
 def test_conv_transpose_output_shape():
