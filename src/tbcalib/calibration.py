@@ -108,6 +108,18 @@ def _slab_centroid(points: np.ndarray, direction: np.ndarray, largest: bool) -> 
     return points[sel].mean(axis=0)
 
 
+def _check_refine_options(l0, max_iter):
+    if not l0 > 0:  # NaN included; inf stops after one iteration
+        raise ValueError(f"l0 must be positive, got {l0}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+
+
+def _check_spacing(spacing):
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+
+
 def refine_sagittal(left: np.ndarray, right: np.ndarray,
                     l0: float = DEFAULT_L0_MM, max_iter: int = DEFAULT_MAX_ITER):
     """Fixed-point refinement of the inter-anchor axis.
@@ -122,10 +134,7 @@ def refine_sagittal(left: np.ndarray, right: np.ndarray,
 
     Returns (P0, x_axis, dict with iterations/l1/converged/p1/p2).
     """
-    if not l0 > 0:  # NaN included; inf stops after one iteration
-        raise ValueError(f"l0 must be positive, got {l0}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_refine_options(l0, max_iter)
     d = np.array([1.0, 0.0, 0.0])
     p0 = p1 = p2 = None
     l1 = float("inf")
@@ -264,8 +273,7 @@ def resample(vol, pose: RigidPose, spacing: float = DEFAULT_OUT_SPACING):
     start).  The calls run on one thread per CPU this process may use; the
     windows do not depend on that count.
     """
-    if not 0 < spacing < math.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    _check_spacing(spacing)
     nx, ny, nz = vol.dims
     src = _box_corners((0, 0, 0), (nx - 1, ny - 1, nz - 1))  # a volume's source box
     corners_cal = pose.apply(vol.world(src))
@@ -347,8 +355,11 @@ def calibrate(vol: Volume, mask: LabelMask,
     where pose maps world to calibrated coordinates.  On a CalibrationError
     (too few anchors, a degenerate canal geometry) the volume/mask/pose are
     None, the report rank is Failed and report.error holds the message.
-    Raises ValueError when the mask is not on the volume's grid.
+    Raises ValueError, before any work, on an option that refine_sagittal or
+    resample would refuse, or when the mask is not on the volume's grid.
     """
+    _check_refine_options(l0, max_iter)
+    _check_spacing(spacing)
     if not mask.same_grid(vol):
         raise ValueError("the mask is not on the volume's grid (dims, spacing and origin)")
     report = CalibrationReport(l0_mm=l0)

@@ -14,9 +14,11 @@ calibration, which includes a mask whose canals are degenerate), and 2 on a
 bad flag, file or file content (an `infer --threshold` outside (0, 1), a
 `train --iterations` below 1, a non-finite or non-positive `train --lr` or
 `calibrate --spacing`, a NaN or non-positive `calibrate --l0`, a mask off
-its volume's grid included).  A nonzero exit prints one `error: <message>`
-line on stderr and `infer` then writes no mask; `main` alone maps
-exceptions to these codes.
+its volume's grid included).  `calibrate` refuses a bad option before any
+calibration work, whatever the mask, so a mask that calibration would
+reject cannot turn a bad flag into exit 1.  A nonzero exit prints one
+`error: <message>` line on stderr and `infer` then writes no mask; `main`
+alone maps exceptions to these codes.
 """
 
 from __future__ import annotations

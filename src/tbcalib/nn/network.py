@@ -62,8 +62,8 @@ class DenseBlock(Layer):
     reduction reads the whole bordered stack and leaves the border out of
     its output.  In training the stack holds each layer's output, which its
     ReLU keeps for backward, and each conv's backward pass reads its input
-    in place there too.  Backward accumulates each layer's input gradient
-    into the reduction's, channel block by channel block."""
+    in place there too.  Backward adds each layer's input gradient, last
+    layer first, into the leading channels of the reduction's: those it read."""
 
     def __init__(self, in_ch, out_ch, rng, growth, n_layers, dtype=np.float32):
         super().__init__()
@@ -95,14 +95,12 @@ class DenseBlock(Layer):
         return self.reduce.forward(stack[:ch], training, out, border=1)
 
     def backward(self, gy):
-        # The stack's channel offsets of features 1..L (feature 0 is the input).
-        bounds = self.in_ch + self.growth * np.arange(len(self.layers))
-        gfeats = np.split(self.reduce.backward(gy), bounds)
-        for i in range(len(self.layers), 0, -1):
-            gin = self.layers[i - 1].backward(gfeats[i])
-            for j, gpart in enumerate(np.split(gin, bounds[:i - 1])):
-                gfeats[j] += gpart
-        return gfeats[0]
+        g = self.reduce.backward(gy)
+        ch = self.pre_reduction_channels
+        for layer in reversed(self.layers):
+            ch -= self.growth
+            g[:ch] += layer.backward(g[ch:ch + self.growth])
+        return g[:self.in_ch]
 
     def children(self):
         return {**{f"layer{i}": l for i, l in enumerate(self.layers)}, "reduce": self.reduce}

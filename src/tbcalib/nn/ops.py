@@ -21,18 +21,16 @@ k·Ci rows and writes k²·Co partial rows in place of the k³·Ci rows of a
 full im2col, so it is used when (k² - 1)·Ci > 2k·Co; with fewer input
 channels, as in the one-channel stem, `cols` stacks all k³ shifted slices
 and one (Co, k³·Ci) GEMM writes the chunk.  A 1³ conv takes that loop with
-its one tap, whose `cols` is a view of the input, read in place.  An
-unpadded, unstrided 1³ conv has a backward pass of two GEMMs,
-wᵀ @ grad_out and grad_out @ xᵀ.  Any other backward pass places grad_out
-on the padded layout behind a margin of the largest shift and stacks its k³
-shifted slices on the Co side, so one (k³·Co, n) chunk gives both grad_x
-(wᵀ @ cols) and grad_w (cols @ x_padᵀ): grad_w needs every tap's slice of
-grad_out, which a depth-stacked chunk would only give through k² narrow
-GEMMs.  grad_x is returned as the interior view of its padded-layout
-buffer, with no crop copy.  A stride s keeps every s-th stride-1 output,
-and its gradient is grad_out scattered to every s-th position with zeros
-between.  COLS_BYTES bounds `cols` and the partial buffer together,
-whatever the volume size.
+its one tap, whose `cols` is a view of the input, read in place.  The
+backward pass, for every kernel size, places grad_out on the padded layout
+behind a margin of the largest shift and stacks its k³ shifted slices on
+the Co side, so one (k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and
+grad_w (cols @ x_padᵀ): grad_w needs every tap's slice of grad_out, which
+a depth-stacked chunk would only give through k² narrow GEMMs.  grad_x is
+returned as the interior view of its padded-layout buffer, with no crop
+copy.  A stride s keeps every s-th stride-1 output, and its gradient is
+grad_out scattered to every s-th position with zeros between.  COLS_BYTES
+bounds `cols` and the partial buffer together, whatever the volume size.
 
 The border may be the caller's.  An input that already carries its zero
 border is passed with padding 0 and read in place, with no padded copy; a
@@ -211,7 +209,8 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):
     The outer `border` voxels of x are a zero border that the caller put
     there, not input: grad_x is the gradient with respect to the rest of x,
     and the conv pads that rest by padding + border >= 0.  A border of
-    exactly that width is read in place as the padding.
+    exactly that width is read in place as the padding.  grad_x takes x's
+    dtype, grad_w w's and grad_b grad_out's, whatever the kernel size.
     """
     p = padding + border
     if border < 0 or p < 0:
@@ -223,11 +222,6 @@ def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):
     if grad_out.shape != (co, do, ho, wo):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(co, do, ho, wo)}")
     gb = grad_out.sum(axis=(1, 2, 3))
-    if k == 1 and p == 0 and stride == 1:  # grad_out is on the input's own grid
-        g = grad_out.reshape(co, -1)
-        wm = w.reshape(co, ci)
-        return ((wm.T @ g).reshape(xi.shape),
-                (g @ xi.reshape(ci, -1).T).reshape(w.shape), gb)
     d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, p)
     xf, (dp, hp, wp), depth, plane = (_flat_padded(x, 0, k, dilation) if border == p
                                       else _flat_padded(xi, p, k, dilation))
@@ -262,8 +256,8 @@ def conv_transpose3d_forward(x, w, b, out=None):
     """Transposed convolution (adjoint of a strided conv) whose stride is
     the kernel side k.
 
-    x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial n*k, written
-    into `out` when it is given, and returned.
+    x: (Ci, D, H, W); w: (Ci, Co, k, k, k); output spatial n*k, of x's
+    dtype, written into `out` when it is given, and returned.
     """
     ci, d, h, wd = x.shape
     ci_w, co = w.shape[:2]
@@ -271,9 +265,9 @@ def conv_transpose3d_forward(x, w, b, out=None):
         raise ValueError(f"in-channel mismatch: x has {ci}, kernel expects {ci_w}")
     k = _check_transpose_kernel(w)
     shape = (co, d * k, h * k, wd * k)
-    _check_out(out, shape, np.result_type(x, w, b))
+    _check_out(out, shape, x.dtype)
     taps = (w.reshape(ci, -1).T @ x.reshape(ci, -1)).reshape(co, k, k, k, d, h, wd)
-    y = np.empty(shape, dtype=taps.dtype) if out is None else out
+    y = np.empty(shape, dtype=x.dtype) if out is None else out
     bias = b[:, None, None, None]
     for kd, kh, kw in np.ndindex(k, k, k):
         np.add(taps[:, kd, kh, kw], bias, out=y[:, kd::k, kh::k, kw::k])

@@ -461,6 +461,16 @@ def collinear_rods_mvol(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def one_rod_mvol(tmp_path_factory):
+    """One 26-voxel rod: a single component, so too few anchors."""
+    path = tmp_path_factory.mktemp("rod") / "rod.mvol"
+    voxels = np.zeros((8, 8, 64), dtype=np.uint8)
+    voxels[4, 4, 2:28] = 1
+    write_mvol(LabelMask(voxels=voxels), path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def coarse_phantom_dir(tmp_path_factory):
     """small_phantom_dir's phantom rendered on a 0.6 mm grid of the same dims."""
     out = tmp_path_factory.mktemp("coarse")
@@ -469,10 +479,10 @@ def coarse_phantom_dir(tmp_path_factory):
     return out
 
 
-# {vol}, {mask}, {ckpt} and {rods} are valid inputs, and {vol06} and {mask06}
-# the same phantom on a 0.6 mm grid; {missing} names no file; {dir} is a
-# directory; {out} is the output and {log} a loss log, which only a stage that
-# ran may write.
+# {vol}, {mask}, {ckpt}, {rods} and {rod} are valid inputs, and {vol06} and
+# {mask06} the same phantom on a 0.6 mm grid; {missing} names no file; {dir} is
+# a directory; {out} is the output and {log} a loss log, which only a stage
+# that ran may write.
 STAGE_FAILURES = [
     pytest.param(2, ("segment-threshold", "--input", "{missing}", "--output", "{out}",
                   "--band", "300,900"), id="segment-threshold-missing-input"),
@@ -515,19 +525,26 @@ STAGE_FAILURES = [
                   "--spacing", "nan"), id="calibrate-nan-spacing"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
                   "--spacing", "inf"), id="calibrate-inf-spacing"),
+    pytest.param(2, ("calibrate", "--input", "{rods}", "--mask", "{rods}", "--output", "{out}",
+                  "--spacing", "nan"), id="calibrate-rods-nan-spacing"),
+    pytest.param(2, ("calibrate", "--input", "{rod}", "--mask", "{rod}", "--output", "{out}",
+                  "--l0", "nan"), id="calibrate-one-rod-nan-l0"),
+    pytest.param(2, ("calibrate", "--input", "{rod}", "--mask", "{rod}", "--output", "{out}",
+                  "--max-iter", "0"), id="calibrate-one-rod-zero-max-iter"),
 ]
 
 
 @pytest.mark.parametrize("code, argv", STAGE_FAILURES)
 def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, checkpoint_path,
-                                         collinear_rods_mvol, tmp_path, capsys, code, argv):
+                                         collinear_rods_mvol, one_rod_mvol, tmp_path, capsys,
+                                         code, argv):
     """Bad input exits 2 and writes nothing; a stage that ran without a
     result exits 1.  Either way stderr is one `error:` line."""
     out, log = tmp_path / "out", tmp_path / "loss.csv"
     paths = {"vol": small_phantom_dir / "volume.mvol", "mask": small_phantom_dir / "mask.mvol",
              "vol06": coarse_phantom_dir / "volume.mvol",
              "mask06": coarse_phantom_dir / "mask.mvol",
-             "ckpt": checkpoint_path, "rods": collinear_rods_mvol,
+             "ckpt": checkpoint_path, "rods": collinear_rods_mvol, "rod": one_rod_mvol,
              "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out, "log": log}
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -396,8 +397,9 @@ def test_conv_bias_is_one_add_after_the_tap_sum(case, dtype):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_conv_output_takes_the_input_dtype(k):
-    """Every path casts its chunks into an output of x's dtype, whatever
-    the weights' dtype, and `out` must have that dtype."""
+    """Every path of both conv forwards casts into an output of x's dtype,
+    whatever the weights' and bias's dtypes, and `out` must have that
+    dtype."""
     rng = np.random.default_rng(27)
     x = rng.normal(size=(4, 6, 7, 8)).astype(np.float32)
     w, b = rng.normal(size=(3, 4, k, k, k)), rng.normal(size=3)
@@ -408,6 +410,30 @@ def test_conv_output_takes_the_input_dtype(k):
     np.testing.assert_array_equal(out, y)
     with pytest.raises(ValueError, match="out must be"):
         ops.conv3d_forward(x, w, b, padding=k // 2, out=y.astype(np.float64))
+    wt = rng.normal(size=(4, 3, k, k, k)).astype(np.float32)
+    yt = ops.conv_transpose3d_forward(x, wt, b)
+    assert yt.dtype == np.float32
+    out = np.empty_like(yt)
+    assert ops.conv_transpose3d_forward(x, wt, b, out=out) is out
+    np.testing.assert_array_equal(out, yt)
+    with pytest.raises(ValueError, match="out must be"):
+        ops.conv_transpose3d_forward(x, wt, b, out=yt.astype(np.float64))
+
+
+@pytest.mark.parametrize("k, padding", [(1, 0), (1, 1), (3, 0), (3, 1)])
+@pytest.mark.parametrize("xt, wt, gt", list(itertools.product([np.float32, np.float64], repeat=3)))
+def test_conv_backward_gradients_take_their_operands_dtypes(k, padding, xt, wt, gt):
+    """grad_x takes x's dtype, grad_w w's and grad_b grad_out's, for every
+    kernel size and padding, and each matches the float64 gradients."""
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(4, 6, 7, 8))
+    w = rng.normal(size=(3, 4, k, k, k))
+    g = rng.normal(size=(3,) + ops.conv3d_output_shape(x.shape[1:], k, 1, 1, padding))
+    want = ops.conv3d_backward(x, w, g, padding=padding)
+    got = ops.conv3d_backward(x.astype(xt), w.astype(wt), g.astype(gt), padding=padding)
+    assert [a.dtype for a in got] == [np.dtype(xt), np.dtype(wt), np.dtype(gt)]
+    for a, ref in zip(got, want):
+        np.testing.assert_allclose(a, ref, rtol=1e-4, atol=1e-4)
 
 
 def test_one_voxel_conv_reads_its_input_in_place():
