@@ -30,7 +30,7 @@ from scipy import ndimage
 from .losses import dice_from_counts
 from .phantom import RigidPose
 from .segment import MIN_COMPONENT_VOXELS, foreground_box, largest_components
-from .volume import LabelMask, Volume, usable_cpus
+from .volume import LabelMask, Volume, jsonable, usable_cpus
 
 DEFAULT_L0_MM = 0.1
 DEFAULT_MAX_ITER = 50
@@ -68,7 +68,7 @@ class CalibrationReport:
     error: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(jsonable(asdict(self)), indent=2, allow_nan=False)
 
 
 def split_components(mask: LabelMask):

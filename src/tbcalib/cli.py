@@ -40,7 +40,7 @@ from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
 from .train import TrainingDivergedError, train_network
-from .volume import MvolError, parse_key_values, read_mvol, write_mvol
+from .volume import MvolError, jsonable, parse_key_values, read_mvol, write_mvol
 
 
 # Parsed-argument keys that a --config file may not set: the parser's own
@@ -181,7 +181,7 @@ def cmd_evaluate(args) -> int:
         metrics["rotation_error_xyz_deg"] = Rotation.from_matrix(
             resid.rotation).as_rotvec(degrees=True).tolist()
         metrics["translation_error_mm"] = float(np.linalg.norm(resid.translation))
-    text = json.dumps(_jsonable(metrics), indent=2)
+    text = json.dumps(jsonable(metrics), indent=2, allow_nan=False)
     if args.output:
         with open(args.output, "w") as f:
             f.write(text + "\n")
@@ -200,18 +200,6 @@ def _per_component_dsc(pred, truth):
         comp[box] = labeled == lab
         out.append(dsc_metric(comp, pred))
     return out
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
 
 
 def build_parser():

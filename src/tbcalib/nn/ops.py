@@ -7,39 +7,44 @@ All convolutions are cross-correlations.  Spatial dims are ordered
 Conv3d runs on a flat padded layout: the input, zero-padded by np.pad to
 (C, Dp, Hp, Wp), is viewed as (C, Dp·Hp·Wp), where kernel tap (kd, kh, kw)
 is the shift dilation·(kd·Hp·Wp + kh·Wp + kw) along the flat axis, so every
-tap is a plain slice.  The output is computed on the padded layout, one
-chunk of n flat positions at a time; each chunk gets its bias, and its ReLU
-in a conv followed by one, right after its GEMM, while it is in cache, and
-the valid region is then cropped out in one copy, into a new array or the
-caller's `out`.  The forward pass stacks only the k depth-shifted slabs of
-the input into `cols`, of shape (k·Ci, n + span), span being the largest
-in-plane shift; one GEMM with the kernel laid out as (k²·Co, k·Ci) gives a
-partial output for each in-plane tap (kh, kw), and the chunk is the sum of
-the k² partials, each read at its shift dilation·(kh·Wp + kw) (the
-im2col/kn2row hybrid of Anderson et al., arXiv:1709.03395).  That copies
-k·Ci rows and writes k²·Co partial rows in place of the k³·Ci rows of a
-full im2col, so it is used when (k² - 1)·Ci > 2k·Co; with fewer input
-channels, as in the one-channel stem, `cols` stacks all k³ shifted slices
-and one (Co, k³·Ci) GEMM writes the chunk.  A 1³ conv takes that loop with
-its one tap, whose `cols` is a view of the input, read in place.  The
-backward pass, for every kernel size, places grad_out on the padded layout
-behind a margin of the largest shift and stacks its k³ shifted slices on
-the Co side, so one (k³·Co, n) chunk gives both grad_x (wᵀ @ cols) and
-grad_w (cols @ x_padᵀ): grad_w needs every tap's slice of grad_out, which
-a depth-stacked chunk would only give through k² narrow GEMMs.  grad_x is
-returned as the interior view of its padded-layout buffer, with no crop
-copy.  A stride s keeps every s-th stride-1 output, and its gradient is
-grad_out scattered to every s-th position with zeros between.  COLS_BYTES
-bounds `cols` and the partial buffer together, whatever the volume size.
+tap is a plain slice.  The forward pass is one loop over chunks of whole
+output planes, s at a time for a stride s: a GEMM writes a reused buffer,
+and one add writes the chunk's kept outputs plus the bias into their
+planes of a new array or the caller's `out`, where a following ReLU runs
+while they are in cache.  With many input channels `cols` stacks only the
+k depth-shifted slabs of the input, of shape (k·Ci, n + span), span being
+the largest in-plane shift; the GEMM with the kernel laid out as
+(k²·Co, k·Ci) gives a partial output for each in-plane tap (kh, kw), and
+each partial, read at its shift dilation·(kh·Wp + kw), is added in turn
+into the first (the im2col/kn2row hybrid of Anderson et al.,
+arXiv:1709.03395).  That copies k·Ci rows and writes k²·Co partial rows in
+place of the k³·Ci rows of a full im2col, so it is used when
+(k² - 1)·Ci > 2k·Co; otherwise, as in the one-channel stem, `cols` stacks
+all k³ shifted slices and a (Co, k³·Ci) GEMM writes the tap sum, with a
+1³ conv's one slice a view of the input.  The one-row GEMMs of `out_conv`,
+`head12_conv` and `head24_conv` round by where the chunk bounds fall;
+GEMMs of several rows do not.  The backward pass, for every kernel size,
+places grad_out on the padded layout behind a margin of the largest shift
+and stacks its k³ shifted slices on the Co side, so one (k³·Co, n) chunk
+gives both grad_x (wᵀ @ cols) and grad_w (cols @ x_padᵀ): grad_w needs
+every tap's slice of grad_out, which a depth-stacked chunk would only give
+through k² narrow GEMMs.  grad_x is returned as the interior view of its
+padded-layout buffer, with no crop copy.  A stride s keeps every s-th
+stride-1 output, and its gradient is grad_out scattered to every s-th
+position with zeros between.  COLS_BYTES bounds `cols` and the GEMM buffer
+together, give or take half a chunk quantum (s planes forward, a column
+backward), or they hold one quantum.
 
 The border may be the caller's.  An input that already carries its zero
 border is passed with padding 0 and read in place, with no padded copy; a
 negative padding leaves the outer -padding voxels of the input out, as a
-1³ conv does on such an input.  Both conv forward passes write their
-output only after their last read of the input, so `out` may lie inside
-the input.  The conv backward pass takes the same input and padding and
-the border's width: it reads the border in place as padding in the same
-way, and returns grad_x for the input inside the border.
+1³ conv does on such an input.  `out` may lie inside the input: a conv
+with k > 1 then computes into a new array and copies it at the end, and a
+1³ conv's output voxel may overwrite input that no later one reads, such
+as its own in a dense block's reduction.  The conv backward pass takes the
+same input and padding and the border's width: it reads the border in
+place as padding in the same way, and returns grad_x for the input inside
+the border.
 
 Pooling never pads: each kernel tap reads the outputs whose input position
 lies inside the volume, a strided slice per axis, which is all that padding
@@ -112,16 +117,15 @@ def _flat_padded(x, p, k, dilation):
     return xp.reshape(x.shape[0], -1), (dp, hp, wp), depth, plane
 
 
-def _stacked_chunks(src, starts, span, lo, hi, part_rows):
-    """Yield (a, b, cols, part) over chunks [a, b) of [lo, hi): row block t
-    of cols holds src[:, starts[t] + a : starts[t] + b + span], and part is
-    an uninitialised (part_rows, b - a + span) buffer for the GEMM on cols.
-    The two reused buffers hold at most COLS_BYTES together, or one chunk
-    of one column.  A single start stacks nothing: cols is then a view of
-    src, read in place."""
+def _stacked_chunks(src, starts, span, lo, hi, part_rows, quantum=1):
+    """Yield (a, b, cols, part) over chunks [a, b) of [lo, hi), each of n
+    columns, a whole number of quanta, but the last: row block t of cols
+    holds src[:, starts[t] + a : starts[t] + b + span]; part is the whole
+    (part_rows, n + span) GEMM buffer.  The two, reused, hold COLS_BYTES ±
+    half a quantum, or one quantum.  One start makes cols a view of src."""
     rows = len(starts) * src.shape[0]
-    n = max(1, COLS_BYTES // ((rows + part_rows) * src.itemsize) - span)
-    n = min(n, hi - lo)
+    n = (COLS_BYTES // ((rows + part_rows) * src.itemsize) - span) / quantum
+    n = quantum * min(max(1, round(n)), -(-(hi - lo) // quantum))
     cols = np.empty((rows, n + span), dtype=src.dtype) if len(starts) > 1 else None
     part = np.empty((part_rows, n + span), dtype=src.dtype)
     for a in range(lo, hi, n):
@@ -129,15 +133,14 @@ def _stacked_chunks(src, starts, span, lo, hi, part_rows):
         m = b - a + span
         slabs = [src[:, s + a:s + a + m] for s in starts]
         stacked = slabs[0] if cols is None else np.concatenate(slabs, out=cols[:, :m])
-        yield a, b, stacked, part[:, :m]
+        yield a, b, stacked, part
 
 
-def _shift_add(part, shifts, out):
-    """out = sum over t of row block t of part, read from column shifts[t]."""
-    r, n = out.shape
-    np.add(part[:r, shifts[0]:shifts[0] + n], part[r:2 * r, shifts[1]:shifts[1] + n], out=out)
-    for t, s in enumerate(shifts[2:], start=2):
-        out += part[t * r:(t + 1) * r, s:s + n]
+def _shift_add(part, shifts, n):
+    """Add row block t = 1, 2, … of part, from column shifts[t], into block 0's first n columns."""
+    r = part.shape[0] // len(shifts)
+    for t, s in enumerate(shifts[1:], start=1):
+        part[:r, :n] += part[t * r:(t + 1) * r, s:s + n]
 
 
 def _check_out(out, shape, dtype):
@@ -152,13 +155,6 @@ def interior(a, border=1):
     return a[:, border:-border, border:-border, border:-border] if border else a
 
 
-def _bias_relu(y, b, relu):
-    """y + b per row of y, then max(·, 0) when relu is set, in place."""
-    y += b[:, None]
-    if relu:
-        np.maximum(y, 0, out=y)
-
-
 def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=False):
     """Dilated cross-correlation with bias, followed by max(·, 0) when
     `relu` is set.
@@ -166,9 +162,8 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
     x: (Ci, D, H, W); w: (Co, Ci, k, k, k); b: (Co,).  A negative padding
     leaves out the outer -padding voxels of x, a border the caller put
     there.  The result, of x's dtype, is written into `out` when it is
-    given, and returned.  Each chunk of the padded-layout output gets its
-    bias, and its ReLU with `relu`, right after its GEMM; the crop is one
-    copy.  A 1³ conv reads x in place, as the every-tap loop's one tap.
+    given, and returned.  One loop of whole-plane chunks serves both
+    layouts, which pick only their slices, shifts and kernel row order.
     """
     ci, d, h, wd = x.shape
     co, ci_w, k, k2, k3 = w.shape
@@ -182,24 +177,29 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
     xf, (_, hp, wp), depth, plane = _flat_padded(x, max(padding, 0), k, dilation)
     q = max(-padding, 0)
     xf = xf[:, (q * hp + q) * wp + q:]  # from the first output's corner
-    n_out = min(d1 * hp * wp, xf.shape[1] - depth[-1] - plane[-1])  # last tap still in range
-    yf = np.empty((co, d1 * hp * wp), dtype=x.dtype)
+    hw = hp * wp  # columns per plane
+    n_out = min(d1 * hw, xf.shape[1] - depth[-1] - plane[-1])  # last tap still in range
     if (k * k - 1) * ci > 2 * k * co:  # depth-stacked moves fewer rows
-        wz = w.transpose(3, 4, 0, 2, 1).reshape(k * k * co, k * ci)  # rows (kh, kw, co)
-        for a, e, cols, part in _stacked_chunks(xf, depth, plane[-1], 0, n_out, k * k * co):
-            np.matmul(wz, cols, out=part)
-            _shift_add(part, plane, yf[:, a:e])
-            _bias_relu(yf[:, a:e], b, relu)
+        starts, shifts, wm = depth, plane, w.transpose(3, 4, 0, 2, 1)  # rows (kh, kw, co)
     else:
-        wm = w.transpose(0, 2, 3, 4, 1).reshape(co, -1)
-        offs = [z + s for z in depth for s in plane]
-        for a, e, cols, part in _stacked_chunks(xf, offs, 0, 0, n_out, 0):
-            np.matmul(wm, cols, out=yf[:, a:e])
-            _bias_relu(yf[:, a:e], b, relu)
-    del xf, cols, part  # drop the chunk buffers before the crop copy
-    y = np.empty(shape, dtype=x.dtype) if out is None else out
-    y[...] = yf.reshape(co, d1, hp, wp)[:, ::stride, :h1:stride, :w1:stride]
-    return y
+        starts, shifts, wm = [z + s for z in depth for s in plane], [0], w.transpose(0, 2, 3, 4, 1)
+    wm = wm.reshape(len(shifts) * co, -1)
+    alias = k > 1 and out is not None and np.may_share_memory(out, x)  # see the module doc
+    y = np.empty(shape, dtype=x.dtype) if out is None or alias else out
+    for a, e, cols, part in _stacked_chunks(xf, starts, shifts[-1], 0, n_out,
+                                            len(shifts) * co, stride * hw):
+        np.matmul(wm, cols, out=part[:, :cols.shape[1]])
+        _shift_add(part, shifts, e - a)
+        kept = part[:co, :-(-(e - a) // hw) * hw].reshape(co, -1, hp, wp)  # whole planes
+        kept = kept[:, ::stride, :h1:stride, :w1:stride]  # none past e - a in the last one
+        z = a // (hw * stride)
+        dst = y[:, z:z + kept.shape[1]]
+        np.add(kept, b[:, None, None, None], out=dst)
+        if relu:
+            np.maximum(dst, 0, out=dst)
+    if alias:
+        out[...] = y
+    return y if out is None else out
 
 
 def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):

@@ -64,6 +64,18 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
+def jsonable(obj):
+    """obj with numpy scalars as Python numbers and non-finite floats as
+    None, so that json.dumps(..., allow_nan=False) writes strict JSON."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def _check_geometry(shape_zyx, spacing, origin):
     if len(shape_zyx) != 3:
         raise ValueError(f"voxel array must be 3D, got shape {shape_zyx}")

@@ -569,7 +569,7 @@ def test_report_json_roundtrip():
 
 
 def test_report_json_bytes():
-    """report.json layout is pinned: field order, indent, NaN, numpy scalars."""
+    """report.json layout is pinned: field order, indent, NaN as null, numpy scalars."""
     rep = cal.CalibrationReport(iterations=3, converged=True, l1_mm=0.0625, l0_mm=0.1,
                                 p1=list(np.array([-30.5, 0.1, -1e-17])),
                                 p2=list(np.array([30.25, 0.2, 3.0])),
@@ -580,4 +580,4 @@ def test_report_json_bytes():
         '  "p1": [\n    -30.5,\n    0.1,\n    -1e-17\n  ],\n'
         '  "p2": [\n    30.25,\n    0.2,\n    3.0\n  ],\n  "rms_mm": 0.3,\n'
         '  "angles_deg": [\n    0.0,\n    -1.5,\n    90.0\n  ],\n  "rank": "Good",\n'
-        '  "slice_gap": 1.25,\n  "mirror_dsc": NaN,\n  "error": ""\n}')
+        '  "slice_gap": 1.25,\n  "mirror_dsc": null,\n  "error": ""\n}')

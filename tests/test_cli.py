@@ -557,6 +557,35 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
         assert report["rank"] == "Failed" and "collinear" in report["error"]
 
 
+def strict_json(path):
+    """The JSON document at path, refusing the NaN and Infinity that only
+    Python's parser accepts."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_failed_calibration_writes_strict_json(one_rod_mvol, tmp_path):
+    """A Failed calibration has no iteration error, plane RMS or rank
+    inputs: report.json holds null for them, which a strict parser reads."""
+    out = tmp_path / "out"
+    assert run("calibrate", "--input", one_rod_mvol, "--mask", one_rod_mvol,
+               "--output", out) == 1
+    report = strict_json(out / "report.json")
+    assert report["rank"] == "Failed" and "anchors" in report["error"]
+    assert [report[k] for k in ("l1_mm", "rms_mm", "slice_gap", "mirror_dsc")] == [None] * 4
+
+
+def test_evaluate_writes_strict_json(one_rod_mvol, tmp_path):
+    """evaluate's metrics of a one-component mask, whose rank has no slice
+    gap or mirror Dice, hold null for them."""
+    out = tmp_path / "metrics.json"
+    assert run("evaluate", "--pred", one_rod_mvol, "--output", out) == 0
+    metrics = strict_json(out)
+    assert metrics["rank"] == "Failed"
+    assert metrics["slice_gap"] is None and metrics["mirror_dsc"] is None
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_calibrate_non_finite_spacing_is_refused_before_resampling(small_phantom_dir, tmp_path,
                                                                    capsys, value):

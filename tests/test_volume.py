@@ -5,7 +5,7 @@ import pytest
 
 from tbcalib.volume import (BadDtypeError, BadMagicError, BadSpacingError,
                             Cuboid, LabelMask, MvolError, TruncatedFileError,
-                            Volume, extract_cuboid, normalize_intensity,
+                            Volume, extract_cuboid, jsonable, normalize_intensity,
                             parse_key_values, read_mvol, write_mvol)
 
 
@@ -231,3 +231,9 @@ def test_normalize_intensity():
 def test_parse_key_values_skips_blank_and_comment_lines():
     text = "# header\n\n  a = 1,2 \nb=\n  # indented comment\nc=x=y\n"
     assert parse_key_values(text) == {"a": "1,2", "b": "", "c": "x=y"}
+
+
+@pytest.mark.parametrize("value", [np.float64("nan"), np.float32("inf"), float("-inf")])
+def test_jsonable_maps_every_non_finite_float_to_none(value):
+    """numpy's non-finite scalars too, which .item() turns into Python floats."""
+    assert jsonable({"a": [value, np.float32(0.5), (np.int64(3),)]}) == {"a": [None, 0.5, [3]]}
