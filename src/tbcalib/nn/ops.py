@@ -37,14 +37,16 @@ backward), or they hold one quantum.
 
 The border may be the caller's.  An input that already carries its zero
 border is passed with padding 0 and read in place, with no padded copy; a
-negative padding leaves the outer -padding voxels of the input out, as a
-1³ conv does on such an input.  `out` may lie inside the input: a conv
-with k > 1 then computes into a new array and copies it at the end, and a
-1³ conv's output voxel may overwrite input that no later one reads, such
-as its own in a dense block's reduction.  The conv backward pass takes the
-same input and padding and the border's width: it reads the border in
-place as padding in the same way, and returns grad_x for the input inside
-the border.
+negative padding leaves the outer -padding voxels of the input out, as a 1³
+conv does on such an input.  `out` may share memory with the input.  It is
+written in place only by a 1³ conv of stride 1 whose `out` has the input's
+strides and starts a whole number of channels from the first voxel read, as
+in a dense block's reduction: each output voxel then overwrites an input
+voxel at its own position, which its chunk has read and no later chunk
+reads.  Any other such conv computes into a new array and copies it into
+`out` at the end.  The conv backward pass takes the same input and padding
+and the border's width: it reads the border in place as padding in the same
+way, and returns grad_x for the input inside the border.
 
 Pooling never pads: each kernel tap reads the outputs whose input position
 lies inside the volume, a strided slice per axis, which is all that padding
@@ -54,12 +56,12 @@ or sum of two taps that cover its whole output, or a copy of the only one,
 so no array is filled first.  The max is exact, because max does not depend
 on order, and a training max pool then finds the argmax in one pass over
 the taps, last to first, so the first tap in scan order wins ties.  Its
-backward pass is one `np.add.at` scatter onto the winning inputs, ordered
-by tap, so each input sums its gradients as a loop over the taps would.  A
-training average pool sums its k³ taps in scan order, like the nested-loop
-definition, and scatters its gradient one axis at a time; the inference one
-sums in the separable order, so its bits differ by rounding.  Both divide
-by the outer product of the per-axis in-bounds counts.
+backward pass is one `np.add.at` scatter onto the winning inputs in
+reversed raster order, which adds at each input in tap order, as a tap loop
+does.  A training average pool sums its k³ taps in scan order, like the
+nested-loop definition, and scatters its gradient one axis at a time; the
+inference one sums in the separable order, so its bits differ by rounding.
+Both divide by the outer product of the per-axis in-bounds counts.
 
 The transposed convolution's stride is its kernel side, so its output
 windows never overlap (Dumoulin & Visin, arXiv:1603.07285, §4): the forward
@@ -150,6 +152,14 @@ def _check_out(out, shape, dtype):
                          f"got {out.dtype} {out.shape}")
 
 
+def _on_read_voxels(out, x, q):
+    """Whether each voxel of `out` lies on a voxel of x at the spatial
+    position that a 1³ conv at padding -q reads for it: x's strides, and a
+    first element a whole number of channels from x[:, q, q, q]."""
+    offset, cs = out.ctypes.data - x[:, q, q, q].ctypes.data, x.strides[0]
+    return out.strides == x.strides and (offset % cs == 0 if cs else offset == 0)
+
+
 def interior(a, border=1):
     """a without its outer `border` voxels on each spatial side."""
     return a[:, border:-border, border:-border, border:-border] if border else a
@@ -184,7 +194,8 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
     else:
         starts, shifts, wm = [z + s for z in depth for s in plane], [0], w.transpose(0, 2, 3, 4, 1)
     wm = wm.reshape(len(shifts) * co, -1)
-    alias = k > 1 and out is not None and np.may_share_memory(out, x)  # see the module doc
+    alias = (out is not None and np.may_share_memory(out, x)  # see the module doc
+             and not (k == stride == 1 and _on_read_voxels(out, x, q)))
     y = np.empty(shape, dtype=x.dtype) if out is None or alias else out
     for a, e, cols, part in _stacked_chunks(xf, starts, shifts[-1], 0, n_out,
                                             len(shifts) * co, stride * hw):
@@ -349,8 +360,7 @@ def maxpool3d_forward(x, k, stride, padding=0):
     since the taps are visited last to first and each tap that reaches the
     max overwrites the index.
     """
-    y = maxpool3d_inference(x, k, stride, padding)
-    _, axes = _pool_taps(x.shape, k, stride, padding)
+    y, _, axes = _separable_pool(x, k, stride, padding, np.maximum)
     arg = np.zeros(y.shape, dtype=np.int8)
     for tap, (dst, src) in reversed(list(enumerate(_taps3(axes)))):
         np.copyto(arg[dst], np.int8(tap), where=x[src] == y[dst])
@@ -359,18 +369,17 @@ def maxpool3d_forward(x, k, stride, padding=0):
 
 def maxpool3d_backward(x_shape, arg, grad_out, k, stride, padding=0):
     """One scatter of grad_out onto each output's winning input, whose flat
-    index is its window's tap-0 corner plus the offset of tap `arg`.  The
-    contributions are sorted stably by tap, so each input voxel adds its
-    windows' gradients in tap order, as a loop over the taps would."""
+    index is its window's tap-0 corner plus the offset of tap `arg`, in
+    reversed raster order: output o reads input i at tap i + padding - stride·o
+    per axis, so each input adds its windows in tap order, as a tap loop does."""
     c, d, h, w = x_shape
     corner = [stride * np.arange(n, dtype=np.int64) - padding for n in arg.shape[1:]]
     corner = (np.arange(c, dtype=np.int64)[:, None, None, None] * (d * h * w)
               + corner[0][:, None, None] * (h * w) + corner[1][:, None] * w + corner[2])
     taps = np.arange(k, dtype=np.int64)
     offset = (taps[:, None, None] * (h * w) + taps[:, None] * w + taps).ravel()
-    order = np.argsort(arg, axis=None, kind="stable")
     gx = np.zeros(c * d * h * w, dtype=grad_out.dtype)
-    np.add.at(gx, (corner + offset[arg]).ravel()[order], grad_out.ravel()[order])
+    np.add.at(gx, (corner + offset[arg]).ravel()[::-1], grad_out.ravel()[::-1])
     return gx.reshape(x_shape)
 
 

@@ -112,7 +112,7 @@ def predict_probabilities(net, vol: Volume) -> np.ndarray:
         halo = 4 * -(-net.config.receptive_radius // 4)
     prob = np.empty(data.shape, dtype=net.dtype)
     for core, tile in _tiles(data.shape, halo):
-        main, _ = net.forward(data[tile][None].astype(net.dtype), training=False)
+        main, _ = net.forward(data[tile][None], training=False)
         prob[core] = main[0][tuple(slice(c.start - t.start, c.stop - t.start)
                                    for c, t in zip(core, tile))]
     return prob[:shape[0], :shape[1], :shape[2]]

@@ -180,9 +180,10 @@ def extract_cuboid(vol, offset_xyz) -> Cuboid:
 def normalize_intensity(vol: Volume) -> Volume:
     """Clamp to DEFAULT_WINDOW [lo, hi] then map affinely to [0, 1]."""
     lo, hi = DEFAULT_WINDOW
-    v = np.clip(vol.voxels, lo, hi)
-    v = (v - lo) / (hi - lo)
-    return Volume(voxels=v.astype(np.float32), spacing=vol.spacing.copy(), origin=vol.origin.copy())
+    v = np.clip(vol.voxels, lo, hi, dtype=np.float32)
+    v -= lo
+    v /= hi - lo
+    return Volume(voxels=v, spacing=vol.spacing.copy(), origin=vol.origin.copy())
 
 
 # ---------------------------------------------------------------------------

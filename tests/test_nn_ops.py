@@ -351,20 +351,24 @@ def test_conv_relu_equals_conv_then_relu(case, dtype):
     assert np.isnan(buf).sum() == buf.size - out.size
 
 
-@pytest.mark.parametrize("k,spatial", [(1, (7, 6, 8)), (3, (7, 6, 8)), (3, (60, 60, 60))],
-                         ids=["1", "3", "3-chunks"])
-def test_conv_relu_out_inside_the_input(k, spatial):
+@pytest.mark.parametrize("k,spatial,ahead", [
+    (1, (7, 6, 8), 0), (3, (7, 6, 8), 0), (3, (60, 60, 60), 0),
+    (1, (60, 60, 60), 1), (1, (60, 60, 60), -1)],
+    ids=["1", "3", "3-chunks", "1-chunks-ahead", "1-chunks-behind"])
+def test_conv_relu_out_inside_the_input(k, spatial, ahead):
     """As in a dense block's reduction, `out` may be channels of the input's
-    own interior, which the conv reads through its border: the result is
-    that of the call on an untouched copy.  The 60^3 input spans several
-    chunks, each of which reads planes that the one before it wrote."""
+    own interior, which the conv reads through its border, or lie `ahead`
+    planes off it: the result is that of the call on an untouched copy.
+    The 60^3 input spans several chunks, each of which reads planes that
+    the one before it wrote; with a 1^3 `out` one plane ahead, each chunk
+    would write the first plane that the next one reads."""
     rng = np.random.default_rng(24)
     x = np.zeros((6,) + tuple(n + 2 for n in spatial))
     x[:, 1:-1, 1:-1, 1:-1] = rng.normal(size=(6,) + spatial)
     w, b = rng.normal(size=(4, 6, k, k, k)), rng.normal(size=4)
     padding = k // 2 - 1
     want = ops.conv3d_forward(x.copy(), w, b, padding=padding, relu=True)
-    out = x[1:5, 1:-1, 1:-1, 1:-1]
+    out = x[1:5, 1 + ahead:x.shape[1] - 1 + ahead, 1:-1, 1:-1]
     assert ops.conv3d_forward(x, w, b, padding=padding, out=out, relu=True) is out
     np.testing.assert_array_equal(out, want)
 
@@ -450,24 +454,31 @@ def test_one_voxel_conv_reads_its_input_in_place():
     output and its chunk's GEMM buffer and nothing of the input's size: its
     one tap's `cols` is a view of the stack, not a copy.  Measured: 9.5 MB
     against a 10.6 MB bound; the padded-layout output and crop of an earlier
-    design reached 14.8 MB."""
+    design reached 14.8 MB.  With `out` on the stack's own voxels, as the
+    reduction writes in eval, it allocates only the GEMM buffer: 2.5 MB
+    against a 3.5 MB bound, where a copy of the output would add 7.1 MB."""
     ci, co, n = 40, 16, 48
     rng = np.random.default_rng(26)
     x = np.zeros((ci, n + 2, n + 2, n + 2), np.float32)
     x[:, 1:-1, 1:-1, 1:-1] = rng.normal(size=(ci, n, n, n))
     w = rng.normal(size=(co, ci, 1, 1, 1)).astype(np.float32)
     b = rng.normal(size=co).astype(np.float32)
-    ops.conv3d_forward(x, w, b, 1, 1, -1, relu=True)
-    tracemalloc.start()
-    try:
-        ops.conv3d_forward(x, w, b, 1, 1, -1, relu=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    want = ops.conv3d_forward(x, w, b, 1, 1, -1, relu=True)
+    out = x[co:2 * co, 1:-1, 1:-1, 1:-1]
+    peaks = []
+    for o in (None, out):
+        tracemalloc.start()
+        try:
+            ops.conv3d_forward(x, w, b, 1, 1, -1, out=o, relu=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(out, want)
     output = co * n ** 3 * 4
     # co of the ci + co budgeted rows, give or take half a plane
     part = co * (ops.COLS_BYTES // ((ci + co) * 4) + (n + 2) ** 2 // 2) * 4
-    assert peak <= output + part + (1 << 20), peak / 1e6
+    assert peaks[0] <= output + part + (1 << 20), peaks[0] / 1e6
+    assert peaks[1] <= part + (1 << 20), peaks[1] / 1e6
 
 
 # --- transposed convolution ------------------------------------------------------
@@ -789,6 +800,25 @@ def test_maxpool_scatter_equals_the_masked_tap_loop_bit_for_bit(shape, k, stride
         want = masked_tap_maxpool_backward(x.shape, arg, g, k, stride, padding)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k,padding", [(2, 0), (3, 1)])
+def test_maxpool_backward_allocates_no_sort(k, padding):
+    """The backward of a stride-2 pool on (16, 48^3) float32, as in a
+    multi-pool module, allocates the gradient and two output-sized int64
+    index arrays, one of them a temporary: no argsort order or gathered
+    copies of the indices and grad_out."""
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(16, 48, 48, 48)).astype(np.float32)
+    _, arg = ops.maxpool3d_forward(x, k, 2, padding)
+    g = rng.normal(size=arg.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        ops.maxpool3d_backward(x.shape, arg, g, k, 2, padding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 2 * 8 * arg.size + (1 << 20), peak / 1e6
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
