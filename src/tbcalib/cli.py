@@ -14,11 +14,12 @@ calibration, which includes a mask whose canals are degenerate), and 2 on a
 bad flag, file or file content (an `infer --threshold` outside (0, 1), a
 `train --iterations` below 1, a non-finite or non-positive `train --lr` or
 `calibrate --spacing`, a NaN or non-positive `calibrate --l0`, a mask off
-its volume's grid included).  `calibrate` refuses a bad option before any
-calibration work, whatever the mask, so a mask that calibration would
-reject cannot turn a bad flag into exit 1.  A nonzero exit prints one
-`error: <message>` line on stderr and `infer` then writes no mask; `main`
-alone maps exceptions to these codes.
+its volume's grid, a mask `.mvol` where a volume is read or the reverse,
+and an array too large for any machine to allocate included).  `calibrate`
+refuses a bad option before any calibration work, whatever the mask, so a
+mask that calibration would reject cannot turn a bad flag into exit 1.  A
+nonzero exit prints one `error: <message>` line on stderr and `infer` then
+writes no mask; `main` alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from scipy.spatial.transform import Rotation
 
 from . import calibration as cal
 from .losses import DEFAULT_LAMBDAS, dsc_metric
-from .nn import CheckpointError, MFFNet, NetworkConfig, load_checkpoint, save_checkpoint
+from .nn import CheckpointError, MFFNet, load_checkpoint, save_checkpoint
 from .phantom import (PhantomSpec, RigidPose, generate_phantom, read_pose,
                       rotation_angle_deg, rotation_from_euler_deg, write_pose)
 from .segment import (EmptySegmentationError, largest_components, sliding_window_infer,
                       threshold_segment)
 from .train import TrainingDivergedError, train_network
-from .volume import MvolError, jsonable, parse_key_values, read_mvol, write_mvol
+from .volume import LabelMask, MvolError, Volume, jsonable, parse_key_values, read_mvol, write_mvol
 
 
 # Parsed-argument keys that a --config file may not set: the parser's own
@@ -74,6 +75,14 @@ def _dims(text):
     return tuple(int(v) for v in parts)
 
 
+def _read(path, kind):
+    """The Volume or LabelMask at path, refused unless it is of that kind."""
+    obj = read_mvol(path)
+    if not isinstance(obj, kind):
+        raise ValueError(f"{path} holds a {type(obj).__name__}, expected a {kind.__name__}")
+    return obj
+
+
 def cmd_phantom(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(PhantomSpec)
                  if getattr(args, f.name, None) is not None}
@@ -100,7 +109,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_segment_threshold(args) -> int:
-    mask = threshold_segment(read_mvol(args.input), args.band)
+    mask = threshold_segment(_read(args.input, Volume), args.band)
     write_mvol(mask, args.output)
     print(f"mask written to {args.output} ({mask.foreground_count()} voxels)")
     return 0
@@ -110,12 +119,12 @@ def cmd_train(args) -> int:
     if args.iterations < 1:
         raise ValueError(f"--iterations must be at least 1, got {args.iterations}")
     net, history = train_network(
-        read_mvol(args.input), read_mvol(args.mask),
+        _read(args.input, Volume), _read(args.mask, LabelMask),
         iterations=args.iterations,
         lr=args.lr,
         seed=args.seed,
         batch_size=args.batch_size,
-        config=NetworkConfig(lambdas=args.lambdas),
+        lambdas=args.lambdas,
         log_path=args.loss_log,
     )
     save_checkpoint(net, args.output)
@@ -125,8 +134,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    vol = read_mvol(args.input)
-    net = MFFNet(NetworkConfig(), seed=0)
+    vol = _read(args.input, Volume)
+    net = MFFNet()
     load_checkpoint(net, args.checkpoint)
     mask = sliding_window_infer(net, vol, threshold=args.threshold)
     write_mvol(mask, args.output)
@@ -135,8 +144,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    vol = read_mvol(args.input)
-    mask = read_mvol(args.mask)
+    vol = _read(args.input, Volume)
+    mask = _read(args.mask, LabelMask)
     cal_vol, cal_mask, report, pose = cal.calibrate(
         vol, mask, l0=args.l0, max_iter=args.max_iter, spacing=args.spacing)
     os.makedirs(args.output, exist_ok=True)
@@ -158,10 +167,10 @@ def cmd_calibrate(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.pose_true is None) != (args.pose_est is None):
         raise ValueError("--pose-true and --pose-est must be given together")
-    pred = read_mvol(args.pred)
+    pred = _read(args.pred, LabelMask)
     metrics = {}
     if args.truth:
-        truth = read_mvol(args.truth)
+        truth = _read(args.truth, LabelMask)
         if not truth.same_grid(pred):
             raise ValueError("--truth is not on --pred's grid (dims, spacing and origin)")
         metrics["dsc"] = dsc_metric(pred, truth)
@@ -297,7 +306,7 @@ def main(argv=None) -> int:
     except (EmptySegmentationError, TrainingDivergedError) as exc:  # ran, no result
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, MvolError, CheckpointError) as exc:  # bad flag or file
+    except (ValueError, OSError, MemoryError, MvolError, CheckpointError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

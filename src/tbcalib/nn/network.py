@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..losses import DEFAULT_LAMBDAS
 from .layers import (AvgPool3d, ConvBnRelu, Conv3d, ConvTranspose3d, FusionModule,
                      Layer, MaxPool3d, Sigmoid, bordered, named_layers)
 from .ops import interior
@@ -28,15 +27,12 @@ class NetworkConfig:
     enc1_channels: int = 16       # C1, 48^3 level
     enc2_channels: int = 32       # C2, 24^3 level
     dcm_channels: int = 64        # C3, dilated-module output
-    lambdas: tuple = DEFAULT_LAMBDAS  # deep-supervision weights, 12^3 then 24^3 head
 
     def __post_init__(self):
         for name in ("stem_channels", "growth", "dense_layers",
                      "enc1_channels", "enc2_channels", "dcm_channels"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if len(self.lambdas) != 2 or any(not 0 <= l <= 1 for l in self.lambdas):
-            raise ValueError(f"lambdas must be two weights in [0, 1], got {self.lambdas}")
 
     @property
     def receptive_radius(self) -> int:

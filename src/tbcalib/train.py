@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 
-from .losses import dsc_metric, joint_loss
+from .losses import DEFAULT_LAMBDAS, dsc_metric, joint_loss
 from .nn import Adam, MFFNet, NetworkConfig
 from .phantom import sample_training_pair
 from .volume import LabelMask, Volume, extract_cuboid, normalize_intensity
@@ -28,6 +28,7 @@ def train_network(vol: Volume, mask: LabelMask,
                   seed: int = 0,
                   batch_size: int | None = None,
                   config: NetworkConfig | None = None,
+                  lambdas=DEFAULT_LAMBDAS,
                   fixed_offset=None,
                   log_path=None,
                   stop_dsc: float | None = None):
@@ -40,7 +41,8 @@ def train_network(vol: Volume, mask: LabelMask,
     per step, or to 1 with `fixed_offset`, which takes no other value.
     `stop_dsc` enables early stopping once the thresholded prediction of the
     training cuboid reaches that Dice score (checked every CHECK_EVERY
-    iterations, on the batch's last sample).
+    iterations, on the batch's last sample).  `lambdas` weight the joint
+    loss's two deep-supervision heads, the 12^3 head's first, each in [0, 1].
 
     The result is bit-reproducible in `seed` for a fixed CPU count only: the
     BLAS thread count sets the summation order of the conv GEMMs.
@@ -55,6 +57,8 @@ def train_network(vol: Volume, mask: LabelMask,
                          f"got {iterations} and {batch_size}")
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
+    if len(lambdas) != 2 or any(not 0 <= l <= 1 for l in lambdas):
+        raise ValueError(f"lambdas must be two weights in [0, 1], got {lambdas}")
     if fixed_offset is not None and batch_size > 1:
         raise ValueError(f"fixed_offset trains on one window, got batch_size {batch_size}")
     net = MFFNet(config, seed=seed)
@@ -74,7 +78,7 @@ def train_network(vol: Volume, mask: LabelMask,
                 x, g = cub.values, lab.values.astype(np.float64)
                 main, auxes = net.forward(x[None], training=True)
                 loss, breakdown, gmain, gaux = joint_loss(
-                    main[0], [a[0] for a in auxes], g, lambdas=net.config.lambdas)
+                    main[0], [a[0] for a in auxes], g, lambdas=lambdas)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(it)
                 net.backward(gmain[None], [ga[None] for ga in gaux])

@@ -202,15 +202,14 @@ def normalize_intensity(vol: Volume) -> Volume:
 # ---------------------------------------------------------------------------
 
 _HEADER_FMT = "<4sBBH3I3f3fI"
+# dtype code -> (the class it decodes to, its little-endian payload dtype)
+_KINDS = {DTYPE_F32: (Volume, np.dtype("<f4")), DTYPE_U8: (LabelMask, np.dtype("<u1"))}
 
 
 def write_mvol(obj, path) -> None:
     """Serialize a Volume or LabelMask to an MVOL file."""
-    if isinstance(obj, Volume):
-        dtype_code = DTYPE_F32
-    elif isinstance(obj, LabelMask):
-        dtype_code = DTYPE_U8
-    else:
+    dtype_code = next((code for code, (cls, _) in _KINDS.items() if isinstance(obj, cls)), None)
+    if dtype_code is None:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
     nx, ny, nz = obj.dims
     header = struct.pack(
@@ -227,7 +226,7 @@ def write_mvol(obj, path) -> None:
     assert len(header) == MVOL_HEADER_SIZE
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(obj.voxels).tobytes())
+        f.write(obj.voxels.astype(_KINDS[dtype_code][1], copy=False).tobytes())
 
 
 def read_mvol(path):
@@ -243,23 +242,20 @@ def read_mvol(path):
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         if version != MVOL_VERSION:
             raise MvolError(f"{path}: unsupported version {version}")
-        if dtype_code == DTYPE_F32:
-            np_dtype, cls, itemsize = np.float32, Volume, 4
-        elif dtype_code == DTYPE_U8:
-            np_dtype, cls, itemsize = np.uint8, LabelMask, 1
-        else:
+        if dtype_code not in _KINDS:
             raise BadDtypeError(f"{path}: unknown dtype code {dtype_code}")
+        cls, dtype = _KINDS[dtype_code]
         if sx <= 0 or sy <= 0 or sz <= 0:
             raise BadSpacingError(f"{path}: non-positive spacing ({sx}, {sy}, {sz})")
         if 0 in (nx, ny, nz):
             raise MvolError(f"{path}: zero dimension in ({nx}, {ny}, {nz})")
         n = int(nx) * int(ny) * int(nz)
-        payload = f.read()  # not f.read(n * itemsize): n can exceed any buffer size
-        if len(payload) < n * itemsize:
+        payload = f.read()  # not f.read(n * dtype.itemsize): n can exceed any buffer size
+        if len(payload) < n * dtype.itemsize:
             raise TruncatedFileError(
-                f"{path}: payload truncated ({len(payload)} of {n * itemsize} bytes)"
+                f"{path}: payload truncated ({len(payload)} of {n * dtype.itemsize} bytes)"
             )
-    voxels = np.frombuffer(payload, dtype="<" + np.dtype(np_dtype).str[1:], count=n)
+    voxels = np.frombuffer(payload, dtype=dtype, count=n)
     try:
         return cls(voxels=voxels.reshape(nz, ny, nx).copy(), spacing=(sx, sy, sz),
                    origin=(ox, oy, oz))

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from tbcalib import cli, segment
+from tbcalib import cli, segment, train
 from tbcalib.cli import _per_component_dsc, main
+from tbcalib.losses import DEFAULT_LAMBDAS, joint_loss
 from tbcalib.nn import MFFNet, save_checkpoint
 from tbcalib.phantom import (PoseError, RigidPose, read_pose, rotation_from_euler_deg,
                              write_pose)
 from tbcalib.train import train_network
-from tbcalib.volume import LabelMask, read_mvol, write_mvol
+from tbcalib.volume import LabelMask, Volume, read_mvol, write_mvol
 
 
 def run(*argv):
@@ -266,14 +267,30 @@ def train_argv(ph, out, *extra):
             "--output", out, "--iterations", "1", "--batch-size", "1") + extra
 
 
-def test_train_lambdas_flag(small_phantom_dir, tmp_path):
-    assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw",
-                           "--lambdas", "0.4,0.2")) == 0
-
-
 def test_train_rejects_zero_batch_size(small_phantom_dir, tmp_path):
     assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw", "--batch-size", "0")) == 2
     assert not (tmp_path / "net.mffw").exists()
+
+
+@pytest.mark.parametrize("source, lambdas", [("default", DEFAULT_LAMBDAS), ("flag", (0.4, 0.2)),
+                                             ("config", (0.3, 0.1))],
+                         ids=["default", "flag", "config"])
+def test_train_lambdas_reach_the_joint_loss(small_phantom_dir, tmp_path, monkeypatch,
+                                            source, lambdas):
+    """The weights that train_network hands to joint_loss are the flag's,
+    the config file's, or the defaults."""
+    seen = []
+
+    def spy(*args, lambdas):
+        seen.append(tuple(lambdas))
+        return joint_loss(*args, lambdas=lambdas)
+
+    monkeypatch.setattr(train, "joint_loss", spy)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lambdas=0.3,0.1\n")
+    extra = {"default": (), "flag": ("--lambdas", "0.4,0.2"), "config": ("--config", cfg)}[source]
+    assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw", *extra)) == 0
+    assert seen == [lambdas]  # one iteration of one sample
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -450,24 +467,28 @@ def test_infer_truncated_checkpoint_exits_2(small_phantom_dir, checkpoint_path, 
     assert not out.exists()
 
 
+def write_rods(directory, voxels):
+    """voxels as mask.mvol, and as the float32 intensities of volume.mvol on
+    the same grid, in directory."""
+    write_mvol(LabelMask(voxels=voxels), directory / "mask.mvol")
+    write_mvol(Volume(voxels=voxels.astype(np.float32)), directory / "volume.mvol")
+    return directory
+
+
 @pytest.fixture(scope="module")
-def collinear_rods_mvol(tmp_path_factory):
+def collinear_rods_dir(tmp_path_factory):
     """Two 26-voxel rods on one line along x: two anchors, but no canal plane."""
-    path = tmp_path_factory.mktemp("rods") / "rods.mvol"
     voxels = np.zeros((8, 8, 64), dtype=np.uint8)
     voxels[4, 4, 2:28] = voxels[4, 4, 36:62] = 1
-    write_mvol(LabelMask(voxels=voxels), path)
-    return path
+    return write_rods(tmp_path_factory.mktemp("rods"), voxels)
 
 
 @pytest.fixture(scope="module")
-def one_rod_mvol(tmp_path_factory):
+def one_rod_dir(tmp_path_factory):
     """One 26-voxel rod: a single component, so too few anchors."""
-    path = tmp_path_factory.mktemp("rod") / "rod.mvol"
     voxels = np.zeros((8, 8, 64), dtype=np.uint8)
     voxels[4, 4, 2:28] = 1
-    write_mvol(LabelMask(voxels=voxels), path)
-    return path
+    return write_rods(tmp_path_factory.mktemp("rod"), voxels)
 
 
 @pytest.fixture(scope="module")
@@ -479,10 +500,13 @@ def coarse_phantom_dir(tmp_path_factory):
     return out
 
 
-# {vol}, {mask}, {ckpt}, {rods} and {rod} are valid inputs, and {vol06} and
-# {mask06} the same phantom on a 0.6 mm grid; {missing} names no file; {dir} is
-# a directory; {out} is the output and {log} a loss log, which only a stage
-# that ran may write.
+# {vol}, {mask}, {ckpt}, {rods} and {rod} are valid inputs, {rods_vol} and
+# {rod_vol} the rods' voxels as volumes, and {vol06} and {mask06} the same
+# phantom on a 0.6 mm grid; {missing} names no file; {dir} is a directory;
+# {out} is the output and {log} a loss log, which only a stage that ran may
+# write.  The two allocations beyond any memory ask for more than 2^57 bytes
+# and less than 2^63, so numpy raises MemoryError, not ValueError, whatever
+# the host's overcommit policy, and touches no page.
 STAGE_FAILURES = [
     pytest.param(2, ("segment-threshold", "--input", "{missing}", "--output", "{out}",
                   "--band", "300,900"), id="segment-threshold-missing-input"),
@@ -504,8 +528,8 @@ STAGE_FAILURES = [
                   "--band", "900,300"), id="segment-threshold-reversed-band"),
     pytest.param(2, ("infer", "--checkpoint", "{dir}", "--input", "{vol}", "--output", "{out}"),
                  id="infer-checkpoint-directory"),
-    pytest.param(1, ("calibrate", "--input", "{rods}", "--mask", "{rods}", "--output", "{out}"),
-                 id="calibrate-collinear-rods"),
+    pytest.param(1, ("calibrate", "--input", "{rods_vol}", "--mask", "{rods}",
+                  "--output", "{out}"), id="calibrate-collinear-rods"),
     pytest.param(2, ("calibrate", "--input", "{vol06}", "--mask", "{mask}", "--output", "{out}"),
                  id="calibrate-mask-off-grid"),
     pytest.param(2, ("evaluate", "--pred", "{mask}", "--truth", "{mask06}", "--output", "{out}"),
@@ -525,18 +549,22 @@ STAGE_FAILURES = [
                   "--spacing", "nan"), id="calibrate-nan-spacing"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
                   "--spacing", "inf"), id="calibrate-inf-spacing"),
-    pytest.param(2, ("calibrate", "--input", "{rods}", "--mask", "{rods}", "--output", "{out}",
+    pytest.param(2, ("calibrate", "--input", "{rods_vol}", "--mask", "{rods}", "--output", "{out}",
                   "--spacing", "nan"), id="calibrate-rods-nan-spacing"),
-    pytest.param(2, ("calibrate", "--input", "{rod}", "--mask", "{rod}", "--output", "{out}",
+    pytest.param(2, ("calibrate", "--input", "{rod_vol}", "--mask", "{rod}", "--output", "{out}",
                   "--l0", "nan"), id="calibrate-one-rod-nan-l0"),
-    pytest.param(2, ("calibrate", "--input", "{rod}", "--mask", "{rod}", "--output", "{out}",
+    pytest.param(2, ("calibrate", "--input", "{rod_vol}", "--mask", "{rod}", "--output", "{out}",
                   "--max-iter", "0"), id="calibrate-one-rod-zero-max-iter"),
+    pytest.param(2, ("phantom", "--output", "{out}", "--dims", "1000000,1000000,1000000"),
+                 id="phantom-dims-beyond-any-memory"),
+    pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
+                  "--spacing", "5e-5"), id="calibrate-spacing-beyond-any-memory"),
 ]
 
 
 @pytest.mark.parametrize("code, argv", STAGE_FAILURES)
 def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, checkpoint_path,
-                                         collinear_rods_mvol, one_rod_mvol, tmp_path, capsys,
+                                         collinear_rods_dir, one_rod_dir, tmp_path, capsys,
                                          code, argv):
     """Bad input exits 2 and writes nothing; a stage that ran without a
     result exits 1.  Either way stderr is one `error:` line."""
@@ -544,7 +572,10 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
     paths = {"vol": small_phantom_dir / "volume.mvol", "mask": small_phantom_dir / "mask.mvol",
              "vol06": coarse_phantom_dir / "volume.mvol",
              "mask06": coarse_phantom_dir / "mask.mvol",
-             "ckpt": checkpoint_path, "rods": collinear_rods_mvol, "rod": one_rod_mvol,
+             "ckpt": checkpoint_path,
+             "rods": collinear_rods_dir / "mask.mvol", "rod": one_rod_dir / "mask.mvol",
+             "rods_vol": collinear_rods_dir / "volume.mvol",
+             "rod_vol": one_rod_dir / "volume.mvol",
              "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out, "log": log}
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err
@@ -557,6 +588,42 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
         assert report["rank"] == "Failed" and "collinear" in report["error"]
 
 
+# Each `.mvol` that a stage reads, given a file of the other kind: the
+# phantom's mask where a Volume is read, its volume where a LabelMask is.
+WRONG_KIND_READS = [
+    pytest.param(("segment-threshold", "--input", "{mask}", "--output", "{out}",
+                  "--band", "300,900"), "Volume", id="segment-threshold-input"),
+    pytest.param(("train", "--input", "{mask}", "--mask", "{mask}", "--output", "{out}",
+                  "--iterations", "1", "--loss-log", "{log}"), "Volume", id="train-input"),
+    pytest.param(("train", "--input", "{vol}", "--mask", "{vol}", "--output", "{out}",
+                  "--iterations", "1", "--loss-log", "{log}"), "LabelMask", id="train-mask"),
+    pytest.param(("infer", "--checkpoint", "{ckpt}", "--input", "{mask}", "--output", "{out}"),
+                 "Volume", id="infer-input"),
+    pytest.param(("calibrate", "--input", "{mask}", "--mask", "{mask}", "--output", "{out}"),
+                 "Volume", id="calibrate-input"),
+    pytest.param(("calibrate", "--input", "{vol}", "--mask", "{vol}", "--output", "{out}"),
+                 "LabelMask", id="calibrate-mask"),
+    pytest.param(("evaluate", "--pred", "{vol}", "--output", "{out}"), "LabelMask",
+                 id="evaluate-pred"),
+    pytest.param(("evaluate", "--pred", "{mask}", "--truth", "{vol}", "--output", "{out}"),
+                 "LabelMask", id="evaluate-truth"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", WRONG_KIND_READS)
+def test_mvol_of_the_wrong_kind_exits_2(small_phantom_dir, checkpoint_path, tmp_path, capsys,
+                                        argv, expected):
+    """The error line names the file, the kind the stage expected and the
+    kind the file holds, and the stage writes nothing."""
+    vol, mask = small_phantom_dir / "volume.mvol", small_phantom_dir / "mask.mvol"
+    out, log = tmp_path / "out", tmp_path / "loss.csv"
+    paths = {"vol": vol, "mask": mask, "ckpt": checkpoint_path, "out": out, "log": log}
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    wrong, found = (mask, "LabelMask") if expected == "Volume" else (vol, "Volume")
+    assert capsys.readouterr().err == f"error: {wrong} holds a {found}, expected a {expected}\n"
+    assert not out.exists() and not log.exists()
+
+
 def strict_json(path):
     """The JSON document at path, refusing the NaN and Infinity that only
     Python's parser accepts."""
@@ -565,22 +632,22 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-def test_failed_calibration_writes_strict_json(one_rod_mvol, tmp_path):
+def test_failed_calibration_writes_strict_json(one_rod_dir, tmp_path):
     """A Failed calibration has no iteration error, plane RMS or rank
     inputs: report.json holds null for them, which a strict parser reads."""
     out = tmp_path / "out"
-    assert run("calibrate", "--input", one_rod_mvol, "--mask", one_rod_mvol,
-               "--output", out) == 1
+    assert run("calibrate", "--input", one_rod_dir / "volume.mvol",
+               "--mask", one_rod_dir / "mask.mvol", "--output", out) == 1
     report = strict_json(out / "report.json")
     assert report["rank"] == "Failed" and "anchors" in report["error"]
     assert [report[k] for k in ("l1_mm", "rms_mm", "slice_gap", "mirror_dsc")] == [None] * 4
 
 
-def test_evaluate_writes_strict_json(one_rod_mvol, tmp_path):
+def test_evaluate_writes_strict_json(one_rod_dir, tmp_path):
     """evaluate's metrics of a one-component mask, whose rank has no slice
     gap or mirror Dice, hold null for them."""
     out = tmp_path / "metrics.json"
-    assert run("evaluate", "--pred", one_rod_mvol, "--output", out) == 0
+    assert run("evaluate", "--pred", one_rod_dir / "mask.mvol", "--output", out) == 0
     metrics = strict_json(out)
     assert metrics["rank"] == "Failed"
     assert metrics["slice_gap"] is None and metrics["mirror_dsc"] is None

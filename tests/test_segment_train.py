@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_arrays, reachable_layers
-from tbcalib import segment
+from tbcalib import segment, train
 from tbcalib.nn import MFFNet, NetworkConfig
 from tbcalib.nn.checkpoint import (CheckpointError, load_checkpoint,
                                    read_checkpoint_arrays, save_checkpoint)
@@ -82,6 +82,20 @@ def test_train_rejects_sizes_it_would_ignore(kwargs):
     vol, mask, _ = phantom()
     with pytest.raises(ValueError):
         train_network(vol, mask, config=tiny_config(), **kwargs)
+
+
+@pytest.mark.parametrize("lambdas", [(2, 0), (0.5,), (0.5, 0.25, 0.1), (float("nan"), 0.25)],
+                         ids=["above_1", "one_weight", "three_weights", "nan"])
+def test_train_rejects_lambdas_before_building_the_net(lambdas, tmp_path, monkeypatch):
+    def no_net(*args, **kwargs):
+        raise AssertionError("the net was built before the weights were checked")
+
+    monkeypatch.setattr(train, "MFFNet", no_net)
+    vol, mask, _ = phantom()
+    log = tmp_path / "loss.csv"
+    with pytest.raises(ValueError, match="lambdas must be two weights in"):
+        train_network(vol, mask, lambdas=lambdas, log_path=log)
+    assert not log.exists()
 
 
 def test_train_deterministic_in_seed():
