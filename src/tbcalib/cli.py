@@ -15,7 +15,10 @@ bad flag, file or file content (an `infer --threshold` outside (0, 1), a
 `train --iterations` below 1, a non-finite or non-positive `train --lr` or
 `calibrate --spacing`, a NaN or non-positive `calibrate --l0`, a mask off
 its volume's grid, a mask `.mvol` where a volume is read or the reverse,
-and an array too large for any machine to allocate included).  `calibrate`
+an `.mvol` with bytes past the values its dims give, an `.mffw` whose
+entries repeat a name, overlap or leave bytes after the last one, a config
+key given twice, `-` and `_` spellings of one key included, and an array
+too large for any machine to allocate included).  `calibrate`
 refuses a bad option before any calibration work, whatever the mask, so a
 mask that calibration would reject cannot turn a bad flag into exit 1.  A
 nonzero exit prints one `error: <message>` line on stderr and `infer` then
@@ -295,10 +298,18 @@ def main(argv=None) -> int:
                 text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             command.error(f"cannot read config {args.config}: {exc}")
-        config = {k.replace("-", "_"): v for k, v in parse_key_values(text).items()}
-        for key in config:
+        try:
+            pairs = parse_key_values(text)
+        except ValueError as exc:
+            command.error(f"{args.config}: {exc}")
+        config = {}
+        for key, value in pairs.items():
+            key = key.replace("-", "_")
+            if key in config:
+                command.error(f"{args.config}: key {key!r} given twice")
             if key not in vars(args) or key in FLAG_ONLY:
                 command.error(f"{args.config}: unknown config key {key!r}")
+            config[key] = value
         command.set_defaults(**config)
         args = parser.parse_args(argv)
     try:

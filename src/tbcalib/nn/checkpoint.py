@@ -9,6 +9,10 @@ Layout, little-endian:
   entries:    u16 name length, utf-8 name, u8 ndim, ndim u32 dims,
               u64 offset into the payload (in f32 elements)
   payload:    f32 values for every entry, concatenated
+
+The reader takes only this layout: each entry's offset is the summed size of
+the entries before it, no name repeats, and the payload ends with the last
+entry.
 """
 
 from __future__ import annotations
@@ -71,13 +75,20 @@ def read_checkpoint_arrays(path) -> dict:
             (off,) = struct.unpack("<Q", _read_exact(f, 8, path, "manifest"))
             specs.append((name, shape, off))
         data = f.read()
-    payload = np.frombuffer(data, dtype="<f4", count=len(data) // 4)
-    arrays = {}
-    for name, shape, off in specs:
-        n = math.prod(shape)  # Python ints: u32 dims cannot wrap around
-        if off + n > payload.size:
-            raise CheckpointError(f"{path}: payload truncated at entry {name}")
+    sizes = [math.prod(shape) for _, shape, _ in specs]  # Python ints: u32 dims cannot wrap around
+    extra = len(data) - 4 * sum(sizes)
+    if extra:
+        raise CheckpointError(f"{path}: payload truncated" if extra < 0 else
+                              f"{path}: {extra} bytes after the last entry")
+    payload = np.frombuffer(data, dtype="<f4")
+    arrays, start = {}, 0
+    for (name, shape, off), n in zip(specs, sizes):
+        if name in arrays:
+            raise CheckpointError(f"{path}: entry {name} repeated")
+        if off != start:
+            raise CheckpointError(f"{path}: entry {name} at offset {off}, expected {start}")
         arrays[name] = payload[off:off + n].reshape(shape).copy()
+        start += n
     return arrays
 
 

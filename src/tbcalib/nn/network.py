@@ -51,15 +51,18 @@ class DenseBlock(Layer):
     channels to the running feature stack; a 1^3 conv reduces the stack
     to out_ch.
 
-    The stack is one zero-bordered array (see `bordered`) of at least
-    pre_reduction_channels channels.  Layer i reads its first in_ch + i*g
-    channels in place, border and all, as its padding, and writes its g
-    channels into the interior behind them, so the border stays zero.  The
-    reduction reads the whole bordered stack and leaves the border out of
-    its output.  In training the stack holds each layer's output, which its
-    ReLU keeps for backward, and each conv's backward pass reads its input
-    in place there too.  Backward adds each layer's input gradient, last
-    layer first, into the leading channels of the reduction's: those it read."""
+    The forward pass runs on the caller's stack: one zero-bordered array
+    (see `bordered`) of at least pre_reduction_channels channels, whose
+    interior holds the block's input in its first in_ch channels.  Layer i
+    reads its first in_ch + i*g channels in place, border and all, as its
+    padding, and writes its g channels into the interior behind them, so
+    the border stays zero.  The reduction reads the whole bordered stack and
+    leaves the border out of its output, which it may write into the
+    stack's own interior channels (see `ops.conv3d_forward`).  In training
+    the stack holds each layer's output, which its ReLU keeps for backward,
+    and each conv's backward pass reads its input in place there too.
+    Backward adds each layer's input gradient, last layer first, into the
+    leading channels of the reduction's: those it read."""
 
     def __init__(self, in_ch, out_ch, rng, growth, n_layers, dtype=np.float32):
         super().__init__()
@@ -73,16 +76,8 @@ class DenseBlock(Layer):
         self.pre_reduction_channels = ch
         self.reduce = ConvBnRelu(ch, out_ch, 1, rng, dtype=dtype)
 
-    def forward(self, x, training):
-        """x: (in_ch, D, H, W), copied into a new stack."""
-        stack = bordered(self.pre_reduction_channels, x.shape[1:], x.dtype)
-        interior(stack)[:self.in_ch] = x
-        return self.grow(stack, training)
-
-    def grow(self, stack, training, out=None):
-        """Run the block on a stack whose interior holds the input in its
-        first in_ch channels; the reduction's result is written into `out`
-        when it is given, which may overlap the stack."""
+    def forward(self, stack, training, out=None):
+        """The reduction's result, written into `out` when it is given."""
         inner = interior(stack)
         ch = self.in_ch
         for layer in self.layers:
@@ -215,13 +210,13 @@ class MFFNet:
         self.stem.forward(x, training, out=interior(stack1)[:self.db1.in_ch])
         del x
         cat1 = bordered(2 * c1, full, dt) if training else stack1
-        s1 = self.db1.grow(stack1, training, out=interior(cat1)[c1:2 * c1])
+        s1 = self.db1.forward(stack1, training, out=interior(cat1)[c1:2 * c1])
         del stack1
         stack2 = bordered(max(self.db2.pre_reduction_channels, 2 * c2), half, dt)
         self.mp1.forward(s1, training, out=interior(stack2)[:self.db2.in_ch])
         del s1
         cat2 = bordered(2 * c2, half, dt) if training else stack2
-        s2 = self.db2.grow(stack2, training, out=interior(cat2)[c2:2 * c2])
+        s2 = self.db2.forward(stack2, training, out=interior(cat2)[c2:2 * c2])
         del stack2
         m = self.dcm.forward(self.mp2.forward(s2, training), training)
         del s2

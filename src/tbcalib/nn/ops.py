@@ -38,15 +38,14 @@ backward), or they hold one quantum.
 The border may be the caller's.  An input that already carries its zero
 border is passed with padding 0 and read in place, with no padded copy; a
 negative padding leaves the outer -padding voxels of the input out, as a 1³
-conv does on such an input.  `out` may share memory with the input.  It is
-written in place only by a 1³ conv of stride 1 whose `out` has the input's
-strides and starts a whole number of channels from the first voxel read, as
-in a dense block's reduction: each output voxel then overwrites an input
-voxel at its own position, which its chunk has read and no later chunk
-reads.  Any other such conv computes into a new array and copies it into
-`out` at the end.  The conv backward pass takes the same input and padding
-and the border's width: it reads the border in place as padding in the same
-way, and returns grad_x for the input inside the border.
+conv does on such an input.  `out` may share memory with the input only in
+a 1³ conv of stride 1 whose `out` has the input's strides and starts a whole
+number of channels from the first voxel read, as in a dense block's
+reduction: each output voxel overwrites an input voxel at its own position,
+which its chunk has read and no later chunk reads.  Any other overlap is
+refused before anything is written.  The conv backward pass takes the same
+input and padding and the border's width: it reads the border in place as
+padding in the same way, and returns grad_x for the input inside the border.
 
 Pooling never pads: each kernel tap reads the outputs whose input position
 lies inside the volume, a strided slice per axis, which is all that padding
@@ -172,8 +171,10 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
     x: (Ci, D, H, W); w: (Co, Ci, k, k, k); b: (Co,).  A negative padding
     leaves out the outer -padding voxels of x, a border the caller put
     there.  The result, of x's dtype, is written into `out` when it is
-    given, and returned.  One loop of whole-plane chunks serves both
-    layouts, which pick only their slices, shifts and kernel row order.
+    given, and returned; any overlap of `out` with x but the module doc's
+    in-place one raises ValueError before anything is written.  One loop of
+    whole-plane chunks serves both layouts, which pick only their slices,
+    shifts and kernel row order.
     """
     ci, d, h, wd = x.shape
     co, ci_w, k, k2, k3 = w.shape
@@ -183,9 +184,12 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
         raise ValueError("kernel must be cubic")
     shape = (co,) + conv3d_output_shape((d, h, wd), k, stride, dilation, padding)
     _check_out(out, shape, x.dtype)
+    q = max(-padding, 0)
+    if out is not None and np.may_share_memory(out, x) and not (
+            k == stride == 1 and _on_read_voxels(out, x, q)):
+        raise ValueError("out overlaps x outside a 1³ conv's in-place write")
     d1, h1, w1 = conv3d_output_shape((d, h, wd), k, 1, dilation, padding)
     xf, (_, hp, wp), depth, plane = _flat_padded(x, max(padding, 0), k, dilation)
-    q = max(-padding, 0)
     xf = xf[:, (q * hp + q) * wp + q:]  # from the first output's corner
     hw = hp * wp  # columns per plane
     n_out = min(d1 * hw, xf.shape[1] - depth[-1] - plane[-1])  # last tap still in range
@@ -194,9 +198,7 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
     else:
         starts, shifts, wm = [z + s for z in depth for s in plane], [0], w.transpose(0, 2, 3, 4, 1)
     wm = wm.reshape(len(shifts) * co, -1)
-    alias = (out is not None and np.may_share_memory(out, x)  # see the module doc
-             and not (k == stride == 1 and _on_read_voxels(out, x, q)))
-    y = np.empty(shape, dtype=x.dtype) if out is None or alias else out
+    y = np.empty(shape, dtype=x.dtype) if out is None else out
     for a, e, cols, part in _stacked_chunks(xf, starts, shifts[-1], 0, n_out,
                                             len(shifts) * co, stride * hw):
         np.matmul(wm, cols, out=part[:, :cols.shape[1]])
@@ -208,9 +210,7 @@ def conv3d_forward(x, w, b, stride=1, dilation=1, padding=0, out=None, relu=Fals
         np.add(kept, b[:, None, None, None], out=dst)
         if relu:
             np.maximum(dst, 0, out=dst)
-    if alias:
-        out[...] = y
-    return y if out is None else out
+    return y
 
 
 def conv3d_backward(x, w, grad_out, stride=1, dilation=1, padding=0, border=0):

@@ -48,13 +48,17 @@ class BadSpacingError(MvolError):
 
 def parse_key_values(text: str) -> dict:
     """`key=value` lines to a dict of stripped strings; blank lines and
-    lines starting with `#` are skipped."""
+    lines starting with `#` are skipped, and a key given twice raises
+    ValueError."""
     kv = {}
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key in kv:
+                raise ValueError(f"key {key!r} given twice")
+            kv[key] = value.strip()
     return kv
 
 
@@ -198,7 +202,7 @@ def normalize_intensity(vol: Volume) -> Volume:
 #   20-31 spacing sx, sy, sz as f32 (mm)
 #   32-43 origin as f32 (mm)
 #   44-47 reserved (zero)
-# payload: nx*ny*nz values, x-fastest.
+# payload: exactly nx*ny*nz values, x-fastest, to the end of the file.
 # ---------------------------------------------------------------------------
 
 _HEADER_FMT = "<4sBBH3I3f3fI"
@@ -255,7 +259,10 @@ def read_mvol(path):
             raise TruncatedFileError(
                 f"{path}: payload truncated ({len(payload)} of {n * dtype.itemsize} bytes)"
             )
-    voxels = np.frombuffer(payload, dtype=dtype, count=n)
+        if len(payload) > n * dtype.itemsize:
+            raise MvolError(f"{path}: {len(payload) - n * dtype.itemsize} bytes past the "
+                            f"payload of ({nx}, {ny}, {nz}) voxels")
+    voxels = np.frombuffer(payload, dtype=dtype)
     try:
         return cls(voxels=voxels.reshape(nz, ny, nx).copy(), spacing=(sx, sy, sz),
                    origin=(ox, oy, oz))

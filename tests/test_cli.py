@@ -364,6 +364,26 @@ def test_unknown_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command
     assert not (tmp_path / "ph").exists() and not (tmp_path / "net.mffw").exists()
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("phantom", "seed=1\nseed=7\n", "seed"),
+    ("train", "batch-size=1\nbatch_size=4\n", "batch_size")],
+    ids=["phantom-config-repeated-key", "train-config-repeated-key-spellings"])
+def test_repeated_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command, text, key):
+    """A key given twice, in one spelling or in the flag's and the
+    attribute's, is an error that names it, not a first value read and then
+    ignored; the stage writes nothing."""
+    cfg, out, log = tmp_path / "cfg.txt", tmp_path / "out", tmp_path / "loss.csv"
+    cfg.write_text(text)
+    ph = small_phantom_dir
+    argv = {"phantom": ("phantom", "--output", out, "--dims", "80,56,48", "--separation", "12"),
+            "train": ("train", "--input", ph / "volume.mvol", "--mask", ph / "mask.mvol",
+                      "--output", out, "--iterations", "1", "--loss-log", log)}[command]
+    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
+    assert code == 2
+    assert f"{cfg}: key {key!r} given twice" in err
+    assert not out.exists() and not log.exists()
+
+
 @pytest.mark.parametrize("command, key", [("phantom", "output"), ("train", "output"),
                                           ("train", "input"), ("train", "mask")])
 def test_required_flag_as_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command, key):
@@ -440,6 +460,14 @@ def checkpoint_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def long_payload_mvol(small_phantom_dir, tmp_path_factory):
+    """small_phantom_dir's volume with 16 bytes after its payload."""
+    path = tmp_path_factory.mktemp("long") / "volume.mvol"
+    path.write_bytes((small_phantom_dir / "volume.mvol").read_bytes() + bytes(16))
+    return path
+
+
 @pytest.mark.parametrize("stage", ["segment-threshold", "train", "infer", "calibrate", "evaluate"])
 def test_nan_origin_volume_exits_2(stage, nan_origin_mvol, checkpoint_path, tmp_path, capsys):
     bad, out = nan_origin_mvol, tmp_path / "out"
@@ -501,8 +529,9 @@ def coarse_phantom_dir(tmp_path_factory):
 
 
 # {vol}, {mask}, {ckpt}, {rods} and {rod} are valid inputs, {rods_vol} and
-# {rod_vol} the rods' voxels as volumes, and {vol06} and {mask06} the same
-# phantom on a 0.6 mm grid; {missing} names no file; {dir} is a directory;
+# {rod_vol} the rods' voxels as volumes, {vol06} and {mask06} the same
+# phantom on a 0.6 mm grid, and {vol_long} its volume with bytes past the
+# payload; {missing} names no file; {dir} is a directory;
 # {out} is the output and {log} a loss log, which only a stage that ran may
 # write.  The two allocations beyond any memory ask for more than 2^57 bytes
 # and less than 2^63, so numpy raises MemoryError, not ValueError, whatever
@@ -555,6 +584,8 @@ STAGE_FAILURES = [
                   "--l0", "nan"), id="calibrate-one-rod-nan-l0"),
     pytest.param(2, ("calibrate", "--input", "{rod_vol}", "--mask", "{rod}", "--output", "{out}",
                   "--max-iter", "0"), id="calibrate-one-rod-zero-max-iter"),
+    pytest.param(2, ("segment-threshold", "--input", "{vol_long}", "--output", "{out}",
+                  "--band", "300,900"), id="segment-threshold-bytes-past-the-payload"),
     pytest.param(2, ("phantom", "--output", "{out}", "--dims", "1000000,1000000,1000000"),
                  id="phantom-dims-beyond-any-memory"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
@@ -564,8 +595,8 @@ STAGE_FAILURES = [
 
 @pytest.mark.parametrize("code, argv", STAGE_FAILURES)
 def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, checkpoint_path,
-                                         collinear_rods_dir, one_rod_dir, tmp_path, capsys,
-                                         code, argv):
+                                         collinear_rods_dir, one_rod_dir, long_payload_mvol,
+                                         tmp_path, capsys, code, argv):
     """Bad input exits 2 and writes nothing; a stage that ran without a
     result exits 1.  Either way stderr is one `error:` line."""
     out, log = tmp_path / "out", tmp_path / "loss.csv"
@@ -575,7 +606,7 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
              "ckpt": checkpoint_path,
              "rods": collinear_rods_dir / "mask.mvol", "rod": one_rod_dir / "mask.mvol",
              "rods_vol": collinear_rods_dir / "volume.mvol",
-             "rod_vol": one_rod_dir / "volume.mvol",
+             "rod_vol": one_rod_dir / "volume.mvol", "vol_long": long_payload_mvol,
              "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out, "log": log}
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from conftest import cached_arrays, reachable_layers, rel_err
 from tbcalib.nn import (Adam, DenseBlock, DilatedConvModule, MFFNet,
                         MultiPoolModule, NetworkConfig, ops)
 from tbcalib.nn.layers import (AvgPool3d, BatchNorm3d, Conv3d, ConvBnRelu, ConvTranspose3d,
-                               MaxPool3d, ReLU, Sigmoid, named_layers)
+                               MaxPool3d, ReLU, Sigmoid, bordered, named_layers)
 
 
 def tiny_config():
@@ -66,7 +66,9 @@ def test_dense_block_channel_arithmetic():
     db = DenseBlock(8, 16, rng, growth=8, n_layers=4)
     assert db.pre_reduction_channels == 8 + 4 * 8  # 40
     x = rng.random((8, 6, 6, 6)).astype(np.float32)
-    y = db.forward(x, training=False)
+    stack = bordered(db.pre_reduction_channels, x.shape[1:], x.dtype)
+    ops.interior(stack)[:8] = x
+    y = db.forward(stack, training=False)
     assert y.shape == (16, 6, 6, 6)
 
 
@@ -76,7 +78,9 @@ def test_dense_block_concat_composition():
     rng = np.random.default_rng(2)
     db = DenseBlock(3, 4, rng, growth=2, n_layers=2)
     x = rng.random((3, 4, 4, 4)).astype(np.float32)
-    y = db.forward(x, training=False)
+    stack = bordered(db.pre_reduction_channels, x.shape[1:], x.dtype)
+    ops.interior(stack)[:3] = x
+    y = db.forward(stack, training=False)
     f1 = db.layers[0].forward(x, training=False)
     f2 = db.layers[1].forward(np.concatenate([x, f1], axis=0), training=False)
     expect = db.reduce.forward(np.concatenate([x, f1, f2], axis=0), training=False)

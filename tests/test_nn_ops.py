@@ -356,12 +356,14 @@ def test_conv_relu_equals_conv_then_relu(case, dtype):
     (1, (60, 60, 60), 1), (1, (60, 60, 60), -1)],
     ids=["1", "3", "3-chunks", "1-chunks-ahead", "1-chunks-behind"])
 def test_conv_relu_out_inside_the_input(k, spatial, ahead):
-    """As in a dense block's reduction, `out` may be channels of the input's
-    own interior, which the conv reads through its border, or lie `ahead`
-    planes off it: the result is that of the call on an untouched copy.
-    The 60^3 input spans several chunks, each of which reads planes that
-    the one before it wrote; with a 1^3 `out` one plane ahead, each chunk
-    would write the first plane that the next one reads."""
+    """As in a dense block's reduction, a 1^3 conv's `out` may be channels
+    of the input's own interior, which the conv reads through its border:
+    the result is that of the call on an untouched copy.  A 3^3 conv's
+    `out` there, or a 1^3 one `ahead` planes off it, is refused before
+    anything is written: the 60^3 input spans several chunks, each of which
+    reads planes that the one before it would have written; with a 1^3
+    `out` one plane ahead, each chunk would write the first plane that the
+    next one reads."""
     rng = np.random.default_rng(24)
     x = np.zeros((6,) + tuple(n + 2 for n in spatial))
     x[:, 1:-1, 1:-1, 1:-1] = rng.normal(size=(6,) + spatial)
@@ -369,8 +371,14 @@ def test_conv_relu_out_inside_the_input(k, spatial, ahead):
     padding = k // 2 - 1
     want = ops.conv3d_forward(x.copy(), w, b, padding=padding, relu=True)
     out = x[1:5, 1 + ahead:x.shape[1] - 1 + ahead, 1:-1, 1:-1]
-    assert ops.conv3d_forward(x, w, b, padding=padding, out=out, relu=True) is out
-    np.testing.assert_array_equal(out, want)
+    if k == 1 and not ahead:
+        assert ops.conv3d_forward(x, w, b, padding=padding, out=out, relu=True) is out
+        np.testing.assert_array_equal(out, want)
+    else:
+        before = x.tobytes()
+        with pytest.raises(ValueError, match="overlaps"):
+            ops.conv3d_forward(x, w, b, padding=padding, out=out, relu=True)
+        assert x.tobytes() == before
 
 
 # (ci, co, spatial, k, stride, dilation, padding, border): x carries a zero

@@ -280,6 +280,49 @@ def test_checkpoint_unexpected_entry_rejected(tmp_path):
         load_checkpoint(MFFNet(tiny_config(), seed=2), path)
 
 
+def entry_offset_at(raw, i):
+    """Byte offset of manifest entry i's payload offset."""
+    pos = 12
+    for _ in range(i + 1):
+        (nlen,) = struct.unpack_from("<H", raw, pos)
+        pos += 2 + nlen
+        pos += 1 + 4 * raw[pos] + 8
+    return pos - 8
+
+
+def second_entry_at_offset_0(net, path):
+    save_checkpoint(net, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, entry_offset_at(raw, 1), 0)
+    path.write_bytes(bytes(raw))
+
+
+def first_entry_repeated(net, path):
+    params = list(net.named_params())
+    save_checkpoint(SimpleNamespace(named_params=lambda: params + params[:1],
+                                    named_buffers=net.named_buffers), path)
+
+
+def bytes_after_last_entry(net, path):
+    save_checkpoint(net, path)
+    path.write_bytes(path.read_bytes() + bytes(16))
+
+
+@pytest.mark.parametrize("damage,message", [
+    (second_entry_at_offset_0, "entry stem.conv.b at offset 0, expected 54"),
+    (first_entry_repeated, "entry stem.conv.w repeated"),
+    (bytes_after_last_entry, "16 bytes after the last entry")],
+    ids=["offsets-overlap", "name-repeated", "bytes-after-last-entry"])
+def test_checkpoint_layout_the_writer_never_makes_rejected(tmp_path, damage, message):
+    """Each entry starts where the one before it ends, no name repeats, and
+    the payload ends with the last entry: any other layout is an error, not
+    weights that load."""
+    path = tmp_path / "net.mffw"
+    damage(MFFNet(tiny_config(), seed=1), path)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(MFFNet(tiny_config(), seed=2), path)
+
+
 COMMITTED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "infer.mffw"
 
 

@@ -122,6 +122,19 @@ def test_mvol_truncated_payload(tmp_path):
         read_mvol(p)
 
 
+@pytest.mark.parametrize("obj", [Volume(voxels=np.zeros((4, 4, 4), dtype=np.float32)),
+                                 LabelMask(voxels=np.zeros((4, 4, 4), dtype=np.uint8))],
+                         ids=["volume", "mask"])
+def test_mvol_bytes_past_the_payload(tmp_path, obj):
+    """Bytes after the header's nx*ny*nz values, as a header whose dims were
+    damaged to a smaller product leaves them, are an error, not a wrong grid."""
+    p = tmp_path / "long.mvol"
+    write_mvol(obj, p)
+    p.write_bytes(p.read_bytes() + bytes(16))
+    with pytest.raises(MvolError, match="16 bytes past the payload"):
+        read_mvol(p)
+
+
 def test_mvol_bad_dtype(tmp_path):
     v = Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32))
     p = tmp_path / "dt.mvol"
@@ -231,6 +244,8 @@ def test_normalize_intensity():
 def test_parse_key_values_skips_blank_and_comment_lines():
     text = "# header\n\n  a = 1,2 \nb=\n  # indented comment\nc=x=y\n"
     assert parse_key_values(text) == {"a": "1,2", "b": "", "c": "x=y"}
+    with pytest.raises(ValueError, match="key 'a' given twice"):
+        parse_key_values(text + " a = 3\n")
 
 
 @pytest.mark.parametrize("value", [np.float64("nan"), np.float32("inf"), float("-inf")])
