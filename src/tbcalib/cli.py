@@ -8,22 +8,13 @@ the required options are flags only).  `phantom` writes the options it ran
 with to `spec.txt` in that same format, so `phantom --config <dir>/spec.txt`
 renders the phantom again byte for byte.
 
-Every stage exits 0 when done, 1 when it ran but produced no result (an
-empty threshold or network segmentation, a diverged training, a `Failed`
-calibration, which includes a mask whose canals are degenerate), and 2 on a
-bad flag, file or file content (an `infer --threshold` outside (0, 1), a
-`train --iterations` below 1, a non-finite or non-positive `train --lr` or
-`calibrate --spacing`, a NaN or non-positive `calibrate --l0`, a mask off
-its volume's grid, a mask `.mvol` where a volume is read or the reverse,
-an `.mvol` with bytes past the values its dims give, an `.mffw` whose
-entries repeat a name, overlap or leave bytes after the last one, a config
-key given twice, `-` and `_` spellings of one key included, and an array
-too large for any machine to allocate included).  `calibrate`
-refuses a bad option before any calibration work, whatever the mask, so a
-mask that calibration would reject cannot turn a bad flag into exit 1.  A
-nonzero exit prints one `error: <message>` line on stderr and `infer` then
-writes no mask; `main` alone maps exceptions to these codes.
-"""
+`main` alone maps a failure to an exit status, and prints it as one
+`error: <message>` line on stderr.  A stage that ran without a result raises
+EmptySegmentationError, TrainingDivergedError or CalibrationError: exit 1.
+A bad flag, config, file or file content raises ValueError, OSError,
+MemoryError, MvolError or CheckpointError: exit 2.  The parser and the config
+reader raise ValueError too, the parser with argparse's own message and no
+usage block.  The README lists the cases."""
 
 from __future__ import annotations
 
@@ -86,7 +77,7 @@ def _read(path, kind):
     return obj
 
 
-def cmd_phantom(args) -> int:
+def cmd_phantom(args):
     overrides = {f.name: getattr(args, f.name) for f in fields(PhantomSpec)
                  if getattr(args, f.name, None) is not None}
     if args.skew_euler is not None or args.skew_translation is not None:
@@ -108,17 +99,15 @@ def cmd_phantom(args) -> int:
                 f.write(f"{key}={text}\n")
     print(f"phantom written to {args.output} "
           f"({mask.foreground_count()} foreground voxels)")
-    return 0
 
 
-def cmd_segment_threshold(args) -> int:
+def cmd_segment_threshold(args):
     mask = threshold_segment(_read(args.input, Volume), args.band)
     write_mvol(mask, args.output)
     print(f"mask written to {args.output} ({mask.foreground_count()} voxels)")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     if args.iterations < 1:
         raise ValueError(f"--iterations must be at least 1, got {args.iterations}")
     net, history = train_network(
@@ -133,20 +122,18 @@ def cmd_train(args) -> int:
     save_checkpoint(net, args.output)
     print(f"checkpoint written to {args.output} "
           f"({len(history)} iterations, final loss {history[-1]['total']:.4f})")
-    return 0
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args):
     vol = _read(args.input, Volume)
     net = MFFNet()
     load_checkpoint(net, args.checkpoint)
     mask = sliding_window_infer(net, vol, threshold=args.threshold)
     write_mvol(mask, args.output)
     print(f"mask written to {args.output} ({mask.foreground_count()} voxels)")
-    return 0
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args):
     vol = _read(args.input, Volume)
     mask = _read(args.mask, LabelMask)
     cal_vol, cal_mask, report, pose = cal.calibrate(
@@ -161,13 +148,11 @@ def cmd_calibrate(args) -> int:
         write_pose(pose, os.path.join(args.output, "est_pose.txt"))
     if report.rank == "Failed":
         reason = report.error or "the calibrated canals rank Failed"
-        print(f"error: calibration failed: {reason}", file=sys.stderr)
-        return 1
+        raise cal.CalibrationError(f"calibration failed: {reason}")
     print(f"calibration rank {report.rank}; report at {report_path}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     if (args.pose_true is None) != (args.pose_est is None):
         raise ValueError("--pose-true and --pose-est must be given together")
     pred = _read(args.pred, LabelMask)
@@ -198,7 +183,6 @@ def cmd_evaluate(args) -> int:
         with open(args.output, "w") as f:
             f.write(text + "\n")
     print(text)
-    return 0
 
 
 def _per_component_dsc(pred, truth):
@@ -214,11 +198,15 @@ def _per_component_dsc(pred, truth):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers share the class; main prints the message
+        raise ValueError(message)
+
+
 def build_parser():
     """The top-level parser and its subparsers action (`choices` maps each
     subcommand to its parser)."""
-    parser = argparse.ArgumentParser(prog="tbcalib",
-                                     description="Temporal-bone CT canal segmentation "
+    parser = _Parser(prog="tbcalib", description="Temporal-bone CT canal segmentation "
                                                  "and geometric calibration")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,33 +276,40 @@ def build_parser():
     return parser, sub
 
 
+def _config(path, options):
+    """The --config file at path as a dict of parser defaults; each key must
+    be one of `options` (`-` spellings read as `_`) and not in FLAG_ONLY."""
+    try:
+        with open(path) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    try:
+        pairs = parse_key_values(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    config = {}
+    for key, value in pairs.items():
+        key = key.replace("-", "_")
+        if key in config:
+            raise ValueError(f"{path}: key {key!r} given twice")
+        if key not in options or key in FLAG_ONLY:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        config[key] = value
+    return config
+
+
 def main(argv=None) -> int:
     parser, sub = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        command = sub.choices[args.command]
-        try:
-            with open(args.config) as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            command.error(f"cannot read config {args.config}: {exc}")
-        try:
-            pairs = parse_key_values(text)
-        except ValueError as exc:
-            command.error(f"{args.config}: {exc}")
-        config = {}
-        for key, value in pairs.items():
-            key = key.replace("-", "_")
-            if key in config:
-                command.error(f"{args.config}: key {key!r} given twice")
-            if key not in vars(args) or key in FLAG_ONLY:
-                command.error(f"{args.config}: unknown config key {key!r}")
-            config[key] = value
-        command.set_defaults(**config)
-        args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (EmptySegmentationError, TrainingDivergedError) as exc:  # ran, no result
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            sub.choices[args.command].set_defaults(**_config(args.config, vars(args)))
+            args = parser.parse_args(argv)
+        args.func(args)
+        return 0
+    except (EmptySegmentationError, TrainingDivergedError,
+            cal.CalibrationError) as exc:  # ran, no result
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, MemoryError, MvolError, CheckpointError) as exc:  # bad input

@@ -48,7 +48,9 @@ def train_network(vol: Volume, mask: LabelMask,
     BLAS thread count sets the summation order of the conv GEMMs.
 
     Returns (net, history) where history is a list of per-iteration
-    breakdown dicts (CSV-logged to log_path when given).
+    breakdown dicts (CSV-logged to log_path unless it is None).  An empty
+    log_path is opened like any other, so it raises FileNotFoundError before
+    the first iteration rather than skipping the log.
     """
     if batch_size is None:
         batch_size = 1 if fixed_offset is not None else 2
@@ -67,7 +69,7 @@ def train_network(vol: Volume, mask: LabelMask,
     fixed = None if fixed_offset is None else (extract_cuboid(norm, fixed_offset),
                                                extract_cuboid(mask, fixed_offset))
     history = []
-    with open(log_path, "w") if log_path else contextlib.nullcontext() as log_file:
+    with open(log_path, "w") if log_path is not None else contextlib.nullcontext() as log_file:
         log = csv.writer(log_file, lineterminator="\n") if log_file else None
         for it in range(iterations):
             net.zero_grad()

@@ -48,14 +48,16 @@ class BadSpacingError(MvolError):
 
 def parse_key_values(text: str) -> dict:
     """`key=value` lines to a dict of stripped strings; blank lines and
-    lines starting with `#` are skipped, and a key given twice raises
-    ValueError."""
+    lines starting with `#` are skipped, and a line with no `=` or an empty
+    key, or a key given twice, raises ValueError."""
     kv = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
             key = key.strip()
+            if not eq or not key:
+                raise ValueError(f"line {number} is not key=value: {line!r}")
             if key in kv:
                 raise ValueError(f"key {key!r} given twice")
             kv[key] = value.strip()

@@ -302,19 +302,6 @@ def test_train_rejects_lambdas_outside_unit_interval(small_phantom_dir, tmp_path
     assert not (tmp_path / "net.mffw").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("segment-threshold", "--input", "v.mvol", "--output", "m.mvol", "--band", "300,900"),
-    ("infer", "--checkpoint", "n.mffw", "--input", "v.mvol", "--output", "m.mvol"),
-    ("calibrate", "--input", "v.mvol", "--mask", "m.mvol", "--output", "out"),
-    ("evaluate", "--pred", "m.mvol"),
-])
-@pytest.mark.parametrize("flag", [("--seed", "1"), ("--config", "cfg.txt")])
-def test_subcommands_without_options_reject_seed_and_config(argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        run(*argv, *flag)
-    assert exc.value.code == 2
-
-
 def test_train_config_supplies_every_option(small_phantom_dir, tmp_path, monkeypatch):
     log = tmp_path / "cfg_loss.csv"
     cfg = tmp_path / "cfg.txt"
@@ -344,92 +331,6 @@ def test_train_flag_beats_config(small_phantom_dir, tmp_path):
     # train_argv passes --iterations 1, which must win over the file's 3
     assert run(*train_argv(small_phantom_dir, tmp_path / "net.mffw", "--config", cfg)) == 0
     assert len(log.read_text().splitlines()) == 2
-
-
-def exit_code_and_stderr(capsys, *argv):
-    with pytest.raises(SystemExit) as exc:
-        run(*argv)
-    return exc.value.code, capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["phantom", "train"])
-def test_unknown_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed=1\nnoise-level=5\n")
-    argv = (("phantom", "--output", tmp_path / "ph") if command == "phantom"
-            else train_argv(small_phantom_dir, tmp_path / "net.mffw"))
-    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
-    assert code == 2
-    assert "unknown config key 'noise_level'" in err
-    assert not (tmp_path / "ph").exists() and not (tmp_path / "net.mffw").exists()
-
-
-@pytest.mark.parametrize("command, text, key", [
-    ("phantom", "seed=1\nseed=7\n", "seed"),
-    ("train", "batch-size=1\nbatch_size=4\n", "batch_size")],
-    ids=["phantom-config-repeated-key", "train-config-repeated-key-spellings"])
-def test_repeated_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command, text, key):
-    """A key given twice, in one spelling or in the flag's and the
-    attribute's, is an error that names it, not a first value read and then
-    ignored; the stage writes nothing."""
-    cfg, out, log = tmp_path / "cfg.txt", tmp_path / "out", tmp_path / "loss.csv"
-    cfg.write_text(text)
-    ph = small_phantom_dir
-    argv = {"phantom": ("phantom", "--output", out, "--dims", "80,56,48", "--separation", "12"),
-            "train": ("train", "--input", ph / "volume.mvol", "--mask", ph / "mask.mvol",
-                      "--output", out, "--iterations", "1", "--loss-log", log)}[command]
-    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
-    assert code == 2
-    assert f"{cfg}: key {key!r} given twice" in err
-    assert not out.exists() and not log.exists()
-
-
-@pytest.mark.parametrize("command, key", [("phantom", "output"), ("train", "output"),
-                                          ("train", "input"), ("train", "mask")])
-def test_required_flag_as_config_key_exits_2(small_phantom_dir, tmp_path, capsys, command, key):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{key}={tmp_path / 'elsewhere'}\n")
-    argv = (("phantom", "--output", tmp_path / "ph") if command == "phantom"
-            else train_argv(small_phantom_dir, tmp_path / "net.mffw"))
-    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
-    assert code == 2
-    assert f"unknown config key {key!r}" in err
-    assert not any((tmp_path / name).exists() for name in ("ph", "net.mffw", "elsewhere"))
-
-
-@pytest.mark.parametrize("content", [None, b"dims=\xff\n"])
-def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
-    cfg = tmp_path / "cfg.txt"
-    if content is not None:
-        cfg.write_bytes(content)
-    code, err = exit_code_and_stderr(capsys, "phantom", "--output", tmp_path / "ph",
-                                     "--config", cfg)
-    assert code == 2
-    assert f"cannot read config {cfg}" in err
-
-
-@pytest.mark.parametrize("command, text, flag", [
-    ("phantom", "dims=1,2\n", "--dims"),
-    ("phantom", "dims=inf,96,96\n", "--dims"),
-    ("phantom", "dims=160.7,96.9,96\n", "--dims"),
-    ("train", "lr=fast\n", "--lr"),
-])
-def test_malformed_config_value_exits_2(small_phantom_dir, tmp_path, capsys, command, text, flag):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(text)
-    argv = (("phantom", "--output", tmp_path / "ph") if command == "phantom"
-            else train_argv(small_phantom_dir, tmp_path / "net.mffw"))
-    code, err = exit_code_and_stderr(capsys, *argv, "--config", cfg)
-    assert code == 2
-    assert f"argument {flag}" in err
-
-
-def test_non_integral_dims_flag_exits_2(tmp_path, capsys):
-    code, err = exit_code_and_stderr(capsys, "phantom", "--output", tmp_path / "ph",
-                                     "--dims", "160.7,96.9,96")
-    assert code == 2
-    assert "argument --dims: dims must be whole numbers" in err
-    assert not (tmp_path / "ph").exists()
 
 
 def test_config_accepts_flag_spelling_of_keys(tmp_path):
@@ -531,75 +432,158 @@ def coarse_phantom_dir(tmp_path_factory):
 # {vol}, {mask}, {ckpt}, {rods} and {rod} are valid inputs, {rods_vol} and
 # {rod_vol} the rods' voxels as volumes, {vol06} and {mask06} the same
 # phantom on a 0.6 mm grid, and {vol_long} its volume with bytes past the
-# payload; {missing} names no file; {dir} is a directory;
-# {out} is the output and {log} a loss log, which only a stage that ran may
-# write.  The two allocations beyond any memory ask for more than 2^57 bytes
-# and less than 2^63, so numpy raises MemoryError, not ValueError, whatever
-# the host's overcommit policy, and touches no page.
+# payload; {missing} names no file; {dir} is a directory; {cfg_<name>} is
+# CONFIGS[name] written out, and {cfg_undecodable} a config that is not
+# UTF-8; {out} is the output and {log} a loss log, which only a stage that
+# ran may write, and {elsewhere} a path that only a config names.  The two
+# allocations beyond any memory ask for more than 2^57 bytes and less than
+# 2^63, so numpy raises MemoryError, not ValueError, whatever the host's
+# overcommit policy, and touches no page.  Each case gives its exit status,
+# its arguments, and a part of its one error line.
+CONFIGS = {
+    "unknown_key": "seed=1\nnoise-level=5\n",
+    "repeated_key": "seed=1\nseed=7\n",
+    "repeated_key_spellings": "batch-size=1\nbatch_size=4\n",
+    "output": "output={elsewhere}\n",
+    "input": "input={elsewhere}\n",
+    "mask": "mask={elsewhere}\n",
+    "short_dims": "dims=1,2\n",
+    "inf_dims": "dims=inf,96,96\n",
+    "fractional_dims": "dims=160.7,96.9,96\n",
+    "word_lr": "lr=fast\n",
+    "bare_key": "loss_log\n",
+    "empty_loss_log": "loss_log=\n",
+}
+TRAIN = ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}", "--iterations", "1")
+# Valid arguments of the subcommands that take neither --seed nor --config
+WITHOUT_SEED_OR_CONFIG = {
+    "segment-threshold": ("--input", "{vol}", "--output", "{out}", "--band", "300,900"),
+    "infer": ("--checkpoint", "{ckpt}", "--input", "{vol}", "--output", "{out}"),
+    "calibrate": ("--input", "{vol}", "--mask", "{mask}", "--output", "{out}"),
+    "evaluate": ("--pred", "{mask}", "--output", "{out}"),
+}
 STAGE_FAILURES = [
     pytest.param(2, ("segment-threshold", "--input", "{missing}", "--output", "{out}",
-                  "--band", "300,900"), id="segment-threshold-missing-input"),
+                  "--band", "300,900"), "{missing}", id="segment-threshold-missing-input"),
     pytest.param(2, ("train", "--input", "{missing}", "--mask", "{mask}", "--output", "{out}",
-                  "--iterations", "1"), id="train-missing-input"),
+                  "--iterations", "1"), "{missing}", id="train-missing-input"),
     pytest.param(2, ("infer", "--checkpoint", "{ckpt}", "--input", "{missing}",
-                  "--output", "{out}"), id="infer-missing-input"),
+                  "--output", "{out}"), "{missing}", id="infer-missing-input"),
     pytest.param(2, ("calibrate", "--input", "{missing}", "--mask", "{mask}", "--output", "{out}"),
-                 id="calibrate-missing-input"),
-    pytest.param(2, ("evaluate", "--pred", "{missing}", "--output", "{out}"),
+                 "{missing}", id="calibrate-missing-input"),
+    pytest.param(2, ("evaluate", "--pred", "{missing}", "--output", "{out}"), "{missing}",
                  id="evaluate-missing-pred"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--l0", "0"), id="calibrate-zero-l0"),
+                  "--l0", "0"), "l0 must be positive", id="calibrate-zero-l0"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--max-iter", "0"), id="calibrate-zero-max-iter"),
+                  "--max-iter", "0"), "max_iter", id="calibrate-zero-max-iter"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--spacing", "0"), id="calibrate-zero-spacing"),
+                  "--spacing", "0"), "spacing must be positive", id="calibrate-zero-spacing"),
     pytest.param(2, ("segment-threshold", "--input", "{vol}", "--output", "{out}",
-                  "--band", "900,300"), id="segment-threshold-reversed-band"),
+                  "--band", "900,300"), "band", id="segment-threshold-reversed-band"),
     pytest.param(2, ("infer", "--checkpoint", "{dir}", "--input", "{vol}", "--output", "{out}"),
-                 id="infer-checkpoint-directory"),
+                 "{dir}", id="infer-checkpoint-directory"),
     pytest.param(1, ("calibrate", "--input", "{rods_vol}", "--mask", "{rods}",
-                  "--output", "{out}"), id="calibrate-collinear-rods"),
+                  "--output", "{out}"), "calibration failed: degenerate (collinear) point set",
+                 id="calibrate-collinear-rods"),
+    pytest.param(1, ("segment-threshold", "--input", "{vol}", "--output", "{out}",
+                  "--band", "5000,6000"), "no voxels inside band (5000.0, 6000.0)",
+                 id="segment-threshold-empty-band"),
     pytest.param(2, ("calibrate", "--input", "{vol06}", "--mask", "{mask}", "--output", "{out}"),
-                 id="calibrate-mask-off-grid"),
+                 "not on the volume's grid", id="calibrate-mask-off-grid"),
     pytest.param(2, ("evaluate", "--pred", "{mask}", "--truth", "{mask06}", "--output", "{out}"),
-                 id="evaluate-truth-off-grid"),
+                 "--truth is not on --pred's grid", id="evaluate-truth-off-grid"),
     pytest.param(2, ("infer", "--checkpoint", "{ckpt}", "--input", "{vol}", "--output", "{out}",
-                  "--threshold", "2"), id="infer-threshold-2"),
-    pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--iterations", "0", "--loss-log", "{log}"), id="train-zero-iterations"),
-    pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--iterations", "1", "--lr", "nan", "--loss-log", "{log}"), id="train-nan-lr"),
-    pytest.param(2, ("train", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--iterations", "1", "--lr=-0.001", "--loss-log", "{log}"),
-                 id="train-negative-lr"),
+                  "--threshold", "2"), "threshold", id="infer-threshold-2"),
+    pytest.param(2, TRAIN[:-1] + ("0", "--loss-log", "{log}"), "--iterations must be at least 1",
+                 id="train-zero-iterations"),
+    pytest.param(2, TRAIN + ("--lr", "nan", "--loss-log", "{log}"),
+                 "lr must be positive and finite", id="train-nan-lr"),
+    pytest.param(2, TRAIN + ("--lr=-0.001", "--loss-log", "{log}"),
+                 "lr must be positive and finite", id="train-negative-lr"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--l0", "nan"), id="calibrate-nan-l0"),
+                  "--l0", "nan"), "l0 must be positive", id="calibrate-nan-l0"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--spacing", "nan"), id="calibrate-nan-spacing"),
+                  "--spacing", "nan"), "spacing must be positive", id="calibrate-nan-spacing"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--spacing", "inf"), id="calibrate-inf-spacing"),
+                  "--spacing", "inf"), "spacing must be positive", id="calibrate-inf-spacing"),
     pytest.param(2, ("calibrate", "--input", "{rods_vol}", "--mask", "{rods}", "--output", "{out}",
-                  "--spacing", "nan"), id="calibrate-rods-nan-spacing"),
+                  "--spacing", "nan"), "spacing must be positive",
+                 id="calibrate-rods-nan-spacing"),
     pytest.param(2, ("calibrate", "--input", "{rod_vol}", "--mask", "{rod}", "--output", "{out}",
-                  "--l0", "nan"), id="calibrate-one-rod-nan-l0"),
+                  "--l0", "nan"), "l0 must be positive", id="calibrate-one-rod-nan-l0"),
     pytest.param(2, ("calibrate", "--input", "{rod_vol}", "--mask", "{rod}", "--output", "{out}",
-                  "--max-iter", "0"), id="calibrate-one-rod-zero-max-iter"),
+                  "--max-iter", "0"), "max_iter", id="calibrate-one-rod-zero-max-iter"),
     pytest.param(2, ("segment-threshold", "--input", "{vol_long}", "--output", "{out}",
-                  "--band", "300,900"), id="segment-threshold-bytes-past-the-payload"),
+                  "--band", "300,900"), "bytes past",
+                 id="segment-threshold-bytes-past-the-payload"),
     pytest.param(2, ("phantom", "--output", "{out}", "--dims", "1000000,1000000,1000000"),
-                 id="phantom-dims-beyond-any-memory"),
+                 "Unable to allocate", id="phantom-dims-beyond-any-memory"),
     pytest.param(2, ("calibrate", "--input", "{vol}", "--mask", "{mask}", "--output", "{out}",
-                  "--spacing", "5e-5"), id="calibrate-spacing-beyond-any-memory"),
+                  "--spacing", "5e-5"), "Unable to allocate",
+                 id="calibrate-spacing-beyond-any-memory"),
+    # Flag errors, which argparse words
+    pytest.param(2, (), "the following arguments are required: command", id="no-subcommand"),
+    pytest.param(2, ("segment-threshold", "--input", "{vol}", "--output", "{out}"),
+                 "the following arguments are required: --band", id="missing-required-flag"),
+    pytest.param(2, ("phantom", "--output", "{out}", "--noise-level", "5"),
+                 "unrecognized arguments: --noise-level 5", id="unknown-flag"),
+    pytest.param(2, ("phantom", "--output", "{out}", "--dims", "160.7,96.9,96"),
+                 "argument --dims: dims must be whole numbers",
+                 id="phantom-non-integral-dims-flag"),
+    *(pytest.param(2, (stage, *argv, *flag), f"unrecognized arguments: {' '.join(flag)}",
+                   id=f"{stage}-rejects-{flag[0][2:]}")
+      for stage, argv in WITHOUT_SEED_OR_CONFIG.items()
+      for flag in (("--seed", "1"), ("--config", "{cfg_repeated_key}"))),
+    # Config errors: the file is named, and so is the key or the flag that
+    # refused its value
+    pytest.param(2, ("phantom", "--output", "{out}", "--config", "{cfg_unknown_key}"),
+                 "{cfg_unknown_key}: unknown config key 'noise_level'",
+                 id="phantom-config-unknown-key"),
+    pytest.param(2, TRAIN + ("--config", "{cfg_unknown_key}"),
+                 "{cfg_unknown_key}: unknown config key 'noise_level'",
+                 id="train-config-unknown-key"),
+    pytest.param(2, ("phantom", "--output", "{out}", "--dims", "80,56,48", "--separation", "12",
+                     "--config", "{cfg_repeated_key}"),
+                 "{cfg_repeated_key}: key 'seed' given twice", id="phantom-config-repeated-key"),
+    pytest.param(2, TRAIN + ("--loss-log", "{log}", "--config", "{cfg_repeated_key_spellings}"),
+                 "{cfg_repeated_key_spellings}: key 'batch_size' given twice",
+                 id="train-config-repeated-key-spellings"),
+    pytest.param(2, ("phantom", "--output", "{out}", "--config", "{cfg_output}"),
+                 "{cfg_output}: unknown config key 'output'", id="phantom-config-output-key"),
+    *(pytest.param(2, TRAIN + ("--config", f"{{cfg_{key}}}"),
+                   f"{{cfg_{key}}}: unknown config key '{key}'", id=f"train-config-{key}-key")
+      for key in ("output", "input", "mask")),
+    pytest.param(2, ("phantom", "--output", "{out}", "--config", "{missing}"),
+                 "cannot read config {missing}", id="phantom-config-missing"),
+    pytest.param(2, ("phantom", "--output", "{out}", "--config", "{cfg_undecodable}"),
+                 "cannot read config {cfg_undecodable}", id="phantom-config-undecodable"),
+    *(pytest.param(2, ("phantom", "--output", "{out}", "--config", f"{{cfg_{name}}}"),
+                   "argument --dims: ", id=f"phantom-config-{name.replace('_', '-')}")
+      for name in ("short_dims", "inf_dims", "fractional_dims")),
+    pytest.param(2, TRAIN + ("--config", "{cfg_word_lr}"), "argument --lr: invalid float value",
+                 id="train-config-word-lr"),
+    # A loss log that cannot be written: a line that is no key=value pair,
+    # and an empty path from the config or the flag
+    pytest.param(2, TRAIN + ("--config", "{cfg_bare_key}"),
+                 "{cfg_bare_key}: line 1 is not key=value: 'loss_log'",
+                 id="train-config-line-without-equals"),
+    pytest.param(2, TRAIN + ("--config", "{cfg_empty_loss_log}"), "No such file or directory: ''",
+                 id="train-config-empty-loss-log"),
+    pytest.param(2, TRAIN + ("--loss-log", ""), "No such file or directory: ''",
+                 id="train-empty-loss-log-flag"),
 ]
 
 
-@pytest.mark.parametrize("code, argv", STAGE_FAILURES)
+@pytest.mark.parametrize("code, argv, message", STAGE_FAILURES)
 def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, checkpoint_path,
                                          collinear_rods_dir, one_rod_dir, long_payload_mvol,
-                                         tmp_path, capsys, code, argv):
-    """Bad input exits 2 and writes nothing; a stage that ran without a
-    result exits 1.  Either way stderr is one `error:` line."""
-    out, log = tmp_path / "out", tmp_path / "loss.csv"
+                                         tmp_path, capsys, code, argv, message):
+    """Bad input, a bad flag or config included, exits 2 and writes
+    nothing; a stage that ran without a result exits 1, and only a Failed
+    calibration then writes its report.  Either way stderr is one `error:`
+    line."""
+    out, log, elsewhere = tmp_path / "out", tmp_path / "loss.csv", tmp_path / "elsewhere"
     paths = {"vol": small_phantom_dir / "volume.mvol", "mask": small_phantom_dir / "mask.mvol",
              "vol06": coarse_phantom_dir / "volume.mvol",
              "mask06": coarse_phantom_dir / "mask.mvol",
@@ -607,16 +591,22 @@ def test_stage_failure_is_one_error_line(small_phantom_dir, coarse_phantom_dir, 
              "rods": collinear_rods_dir / "mask.mvol", "rod": one_rod_dir / "mask.mvol",
              "rods_vol": collinear_rods_dir / "volume.mvol",
              "rod_vol": one_rod_dir / "volume.mvol", "vol_long": long_payload_mvol,
-             "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out, "log": log}
+             "missing": tmp_path / "missing.mvol", "dir": tmp_path, "out": out, "log": log,
+             "elsewhere": elsewhere, "cfg_undecodable": tmp_path / "undecodable.txt"}
+    paths["cfg_undecodable"].write_bytes(b"dims=\xff\n")
+    for name, text in CONFIGS.items():
+        paths[f"cfg_{name}"] = tmp_path / f"{name}.txt"
+        paths[f"cfg_{name}"].write_text(text.format(**paths))
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    if code == 2:
-        assert not out.exists() and not log.exists()
-    else:
+    assert message.format(**paths) in err
+    if code == 1 and argv[0] == "calibrate":
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
         report = json.loads((out / "report.json").read_text())
         assert report["rank"] == "Failed" and "collinear" in report["error"]
+    else:
+        assert not any(p.exists() for p in (out, log, elsewhere))
 
 
 # Each `.mvol` that a stage reads, given a file of the other kind: the

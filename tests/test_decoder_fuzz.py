@@ -121,10 +121,7 @@ def test_damaged_spec_config_exits_0_or_2(tmp_path, monkeypatch):
         i = next(names)
         path = tmp_path / f"{i}.txt"
         path.write_bytes(damaged_data)
-        try:
-            assert cli.main(["phantom", "--config", str(path),
-                             "--output", str(tmp_path / f"out{i}")]) in (0, 2)
-        except SystemExit as exc:
-            assert exc.code == 2
+        assert cli.main(["phantom", "--config", str(path),
+                         "--output", str(tmp_path / f"out{i}")]) in (0, 2)
 
     check()

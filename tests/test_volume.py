@@ -248,6 +248,13 @@ def test_parse_key_values_skips_blank_and_comment_lines():
         parse_key_values(text + " a = 3\n")
 
 
+@pytest.mark.parametrize("line", ["loss_log", "= 3"])
+def test_parse_key_values_refuses_a_line_without_equals_or_key(line):
+    """A bare key would read as an empty value, and `= 3` as the key ''."""
+    with pytest.raises(ValueError, match=f"line 3 is not key=value: '{line}'"):
+        parse_key_values(f"a=1\n\n {line} \n")
+
+
 @pytest.mark.parametrize("value", [np.float64("nan"), np.float32("inf"), float("-inf")])
 def test_jsonable_maps_every_non_finite_float_to_none(value):
     """numpy's non-finite scalars too, which .item() turns into Python floats."""
