@@ -83,17 +83,15 @@ def split_components(mask: LabelMask):
     offset = [sl.start for sl in box[::-1]]  # (x, y, z)
     sets = [mask.world(np.stack(np.nonzero(labeled == lab)[::-1], axis=1) + offset)
             for lab in keep]
-    if sets[0][:, 0].mean() <= sets[1][:, 0].mean():
-        return sets[0], sets[1]
-    return sets[1], sets[0]
+    return tuple(sorted(sets, key=lambda s: s[:, 0].mean()))  # stable: ties keep label order
 
 
 DEFAULT_ANCHOR_SLAB_MM = 0.75
 
 
-def _slab_centroid(points: np.ndarray, direction: np.ndarray, largest: bool) -> np.ndarray:
-    """Centroid of the points within DEFAULT_ANCHOR_SLAB_MM of the extremal
-    projection.
+def _slab_centroid(points: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Centroid of the points within DEFAULT_ANCHOR_SLAB_MM of the largest
+    projection onto `direction`.
 
     A single extremal voxel sits anywhere on the nearly-flat cap of the canal
     surface, so its transverse position is quantization noise on the order of
@@ -101,11 +99,7 @@ def _slab_centroid(points: np.ndarray, direction: np.ndarray, largest: bool) -> 
     symmetric about the true extremum) and shrinks that noise by sqrt(N).
     """
     proj = points @ direction
-    if largest:
-        sel = proj >= proj.max() - DEFAULT_ANCHOR_SLAB_MM
-    else:
-        sel = proj <= proj.min() + DEFAULT_ANCHOR_SLAB_MM
-    return points[sel].mean(axis=0)
+    return points[proj >= proj.max() - DEFAULT_ANCHOR_SLAB_MM].mean(axis=0)
 
 
 def _check_refine_options(l0, max_iter):
@@ -127,39 +121,29 @@ def refine_sagittal(left: np.ndarray, right: np.ndarray,
     Starting from world x, repeatedly re-select the extremal anchors along
     the current direction and re-align the direction with P1 -> P2.  The
     residual L1 converts the angular change of the axis into millimeters of
-    displacement at the farther anchor; iteration stops once L1 < l0.
+    displacement at either anchor, which lies norm / 2 from the midpoint P0
+    (norm = |P2 - P1|); iteration stops once L1 < l0.
 
     Anchors are sub-voxel estimates: the centroid of each component's
-    extremal slab of depth DEFAULT_ANCHOR_SLAB_MM along the current direction.
+    extremal slab of depth DEFAULT_ANCHOR_SLAB_MM along the current direction
+    (along -direction for the left canal).
 
     Returns (P0, x_axis, dict with iterations/l1/converged/p1/p2).
     """
     _check_refine_options(l0, max_iter)
     d = np.array([1.0, 0.0, 0.0])
-    p0 = p1 = p2 = None
-    l1 = float("inf")
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        p1 = _slab_centroid(left, d, largest=False)
-        p2 = _slab_centroid(right, d, largest=True)
-        p0 = (p1 + p2) / 2.0
+        p1, p2 = _slab_centroid(left, -d), _slab_centroid(right, d)
         sep = p2 - p1
         norm = np.linalg.norm(sep)
         if norm == 0:
             raise CalibrationError("anchor points coincide")
-        d_new = sep / norm
-        cosang = float(np.clip(d @ d_new, -1.0, 1.0))
-        dtheta = math.acos(cosang)
-        lever = max(np.linalg.norm(p1 - p0), np.linalg.norm(p2 - p0))
-        l1 = lever * dtheta
-        d = d_new
+        d_old, d = d, sep / norm
+        l1 = float(norm / 2 * math.acos(float(np.clip(d_old @ d, -1.0, 1.0))))
         if l1 < l0:
-            converged = True
             break
-    info = {"iterations": iterations, "l1_mm": float(l1), "converged": converged,
-            "p1": p1, "p2": p2}
-    return p0, d, info
+    info = {"iterations": iterations, "l1_mm": l1, "converged": bool(l1 < l0), "p1": p1, "p2": p2}
+    return (p1 + p2) / 2.0, d, info
 
 
 def fit_lsc_plane(points: np.ndarray, x_axis: np.ndarray):
@@ -366,14 +350,8 @@ def calibrate(vol: Volume, mask: LabelMask,
     try:
         left, right = split_components(mask)
         p0, x_axis, info = refine_sagittal(left, right, l0=l0, max_iter=max_iter)
-        report.iterations = info["iterations"]
-        report.l1_mm = info["l1_mm"]
-        report.converged = info["converged"]
-        report.p1 = list(info["p1"])
-        report.p2 = list(info["p2"])
-        all_points = np.concatenate([left, right], axis=0)
-        z_axis, rms = fit_lsc_plane(all_points, x_axis)
-        report.rms_mm = rms
+        vars(report).update(info, p1=list(info["p1"]), p2=list(info["p2"]))
+        z_axis, report.rms_mm = fit_lsc_plane(np.concatenate([left, right]), x_axis)
         pose = build_frame(p0, x_axis, z_axis)
     except CalibrationError as exc:
         report.error = str(exc)

@@ -3,8 +3,7 @@
 Layout, little-endian:
   bytes 0-3   magic "MFFW"
   byte  4     version = 1
-  byte  5     flags, written as 0 and ignored on read
-  bytes 6-7   reserved
+  bytes 5-7   reserved, 0: the reader refuses any other byte
   bytes 8-11  entry count as u32
   entries:    u16 name length, utf-8 name, u8 ndim, ndim u32 dims,
               u64 offset into the payload (in f32 elements)
@@ -24,6 +23,7 @@ import numpy as np
 
 MAGIC = b"MFFW"
 VERSION = 1
+_HEADER_FMT = "<4sB3xI"  # x: the reserved bytes, packed as 0
 
 
 class CheckpointError(Exception):
@@ -41,7 +41,7 @@ def save_checkpoint(net, path) -> None:
         manifest += struct.pack("<Q", offset)
         offset += arr.size
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sBBHI", MAGIC, VERSION, 0, 0, len(entries)))
+        f.write(struct.pack(_HEADER_FMT, MAGIC, VERSION, len(entries)))
         f.write(bytes(manifest))
         for _, arr in entries:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -57,12 +57,16 @@ def _read_exact(f, n, path, what):
 def read_checkpoint_arrays(path) -> dict:
     """Return dict name -> float32 array."""
     with open(path, "rb") as f:
-        magic, version, _flags, _r, count = struct.unpack(
-            "<4sBBHI", _read_exact(f, 12, path, "header"))
+        header = _read_exact(f, 12, path, "header")
+        magic, version, count = struct.unpack(_HEADER_FMT, header)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        for i in range(5, 8):
+            if header[i]:
+                raise CheckpointError(
+                    f"{path}: reserved header byte {i} is {header[i]:#04x}, not 0")
         specs = []
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(f, 2, path, "manifest"))

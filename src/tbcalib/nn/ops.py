@@ -333,7 +333,7 @@ def _separable_pool(x, k, stride, padding, ufunc):
     Each axis starts from ufunc of two taps that cover its whole output,
     or from a copy of the only one that does, and folds in the rest; with
     padding at most (k - 1) // 2, tap `padding` always covers it.
-    Returns (y, output spatial shape, per-axis taps)."""
+    Returns (y, per-axis taps)."""
     out, axes = _pool_taps(x.shape, k, stride, padding)
     for axis, (size, taps) in enumerate(zip(out, axes), start=1):
         full = [j for j, (dst, _) in enumerate(taps) if dst == slice(0, size)][:2]
@@ -344,7 +344,7 @@ def _separable_pool(x, k, stride, padding, ufunc):
                 yd = y[_along(axis, dst)]
                 ufunc(yd, x[_along(axis, src)], out=yd)
         x = y
-    return x, out, axes
+    return x, axes
 
 
 def maxpool3d_inference(x, k, stride, padding=0):
@@ -360,7 +360,7 @@ def maxpool3d_forward(x, k, stride, padding=0):
     since the taps are visited last to first and each tap that reaches the
     max overwrites the index.
     """
-    y, _, axes = _separable_pool(x, k, stride, padding, np.maximum)
+    y, axes = _separable_pool(x, k, stride, padding, np.maximum)
     arg = np.zeros(y.shape, dtype=np.int8)
     for tap, (dst, src) in reversed(list(enumerate(_taps3(axes)))):
         np.copyto(arg[dst], np.int8(tap), where=x[src] == y[dst])
@@ -383,30 +383,19 @@ def maxpool3d_backward(x_shape, arg, grad_out, k, stride, padding=0):
     return gx.reshape(x_shape)
 
 
-def _pool_counts(out, axes, dtype):
-    """The in-bounds taps of each output: the outer product of the per-axis
-    counts."""
-    per_axis = [np.zeros(size, dtype=dtype) for size in out]
-    for c, taps in zip(per_axis, axes):
-        for dst, _ in taps:
-            c[dst] += 1
-    cd, ch, cw = per_axis
-    return cd[:, None, None] * ch[:, None] * cw
-
-
 def avgpool3d_forward(x, k, stride, padding=0):
     """Average pooling over the in-bounds taps only (padding excluded from
     the divisor, so a constant input stays constant at the border).  The
     taps are summed in scan order, as the nested-loop definition does.
 
     Returns (y, counts) for the backward pass; counts, the in-bounds taps
-    of each output, is the outer product of the per-axis counts.
+    of each output, is the sum pool of a one-channel field of ones.
     """
     out, axes = _pool_taps(x.shape, k, stride, padding)
     y = np.zeros((x.shape[0],) + out, dtype=x.dtype)
     for dst, src in _taps3(axes):
         y[dst] += x[src]
-    counts = _pool_counts(out, axes, x.dtype)
+    counts = _separable_pool(np.ones_like(x[:1]), k, stride, padding, np.add)[0][0]
     y /= counts
     return y, counts
 
@@ -415,8 +404,8 @@ def avgpool3d_inference(x, k, stride, padding=0):
     """The y of avgpool3d_forward, summed one spatial axis at a time: k
     taps per axis rather than k³, in another order, so the bits differ
     from the scan-order sum."""
-    y, out, axes = _separable_pool(x, k, stride, padding, np.add)
-    y /= _pool_counts(out, axes, x.dtype)
+    y = _separable_pool(x, k, stride, padding, np.add)[0]
+    y /= _separable_pool(np.ones_like(x[:1]), k, stride, padding, np.add)[0][0]
     return y
 
 

@@ -199,15 +199,16 @@ def normalize_intensity(vol: Volume) -> Volume:
 #   0-3   magic "MVOL"
 #   4     version = 1
 #   5     dtype: 1 = f32 (Volume), 2 = u8 (LabelMask)
-#   6-7   reserved (zero)
+#   6-7   reserved, 0: a reader refuses any other byte
 #   8-19  dims nx, ny, nz as u32
 #   20-31 spacing sx, sy, sz as f32 (mm)
 #   32-43 origin as f32 (mm)
-#   44-47 reserved (zero)
+#   44-47 reserved, 0: a reader refuses any other byte
 # payload: exactly nx*ny*nz values, x-fastest, to the end of the file.
 # ---------------------------------------------------------------------------
 
-_HEADER_FMT = "<4sBBH3I3f3fI"
+_HEADER_FMT = "<4sBB2x3I3f3f4x"  # x: the reserved bytes, packed as 0
+_RESERVED = (6, 7, 44, 45, 46, 47)
 # dtype code -> (the class it decodes to, its little-endian payload dtype)
 _KINDS = {DTYPE_F32: (Volume, np.dtype("<f4")), DTYPE_U8: (LabelMask, np.dtype("<u1"))}
 
@@ -223,11 +224,9 @@ def write_mvol(obj, path) -> None:
         MVOL_MAGIC,
         MVOL_VERSION,
         dtype_code,
-        0,
         nx, ny, nz,
         *np.asarray(obj.spacing, dtype=np.float32),
         *np.asarray(obj.origin, dtype=np.float32),
-        0,
     )
     assert len(header) == MVOL_HEADER_SIZE
     with open(path, "wb") as f:
@@ -241,13 +240,16 @@ def read_mvol(path):
         header = f.read(MVOL_HEADER_SIZE)
         if len(header) < MVOL_HEADER_SIZE:
             raise TruncatedFileError(f"{path}: header truncated ({len(header)} bytes)")
-        magic, version, dtype_code, _r0, nx, ny, nz, sx, sy, sz, ox, oy, oz, _r1 = struct.unpack(
+        magic, version, dtype_code, nx, ny, nz, sx, sy, sz, ox, oy, oz = struct.unpack(
             _HEADER_FMT, header
         )
         if magic != MVOL_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         if version != MVOL_VERSION:
             raise MvolError(f"{path}: unsupported version {version}")
+        for i in _RESERVED:
+            if header[i]:
+                raise MvolError(f"{path}: reserved header byte {i} is {header[i]:#04x}, not 0")
         if dtype_code not in _KINDS:
             raise BadDtypeError(f"{path}: unknown dtype code {dtype_code}")
         cls, dtype = _KINDS[dtype_code]

@@ -487,6 +487,35 @@ def test_rank_good_when_asymmetric_but_overlapping():
     assert mirror < 0.8
 
 
+def _rank_good_cases():
+    """Masks that rank Good, not Excellent, through one threshold each:
+    (mask, mirror-DSC range, slice-gap range)."""
+    vox = np.zeros((40, 40, 40), dtype=np.uint8)
+    _box(vox, (9, 19, 10), (12, 22, 20))   # z 10-19
+    _box(vox, (28, 19, 11), (31, 22, 21))  # its mirror at z 11-20, and one voxel at z 21
+    vox[21, 20, 29] = 1
+    return {
+        # the mirror shifted by 1 in y: mirror-DSC 2/3, gap 0
+        "mirror_below_threshold": (blob_mask([(10, 20, 20), (29, 21, 20)]),
+                                   (0.5, cal.RANK_MIRROR_DSC), (0.0, 0.0)),
+        # gap 15.56 - 14.5, mirror-DSC above its threshold
+        "gap_just_over_1": (LabelMask(voxels=vox, spacing=(0.5,) * 3, origin=(-9.75,) * 3),
+                            (cal.RANK_MIRROR_DSC, 1.0), (1.05, 1.1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rank_good_cases()))
+def test_rank_good_by_one_threshold(case):
+    """A mirror-DSC in [0.5, RANK_MIRROR_DSC) at gap 0, or a gap just over
+    RANK_SLICE_GAP with the mirror-DSC above its threshold, each alone keeps
+    a mask from Excellent."""
+    mask, (mirror_lo, mirror_hi), (gap_lo, gap_hi) = _rank_good_cases()[case]
+    rank, gap, mirror = cal.rank_result(mask)
+    assert mirror_lo <= mirror < mirror_hi
+    assert gap_lo <= gap <= gap_hi
+    assert rank == "Good"
+
+
 def test_rank_failed_no_axial_overlap():
     m = blob_mask([(10, 20, 10), (29, 20, 30)])
     rank, _, _ = cal.rank_result(m)

@@ -1,7 +1,7 @@
-"""Property tests: a truncated or byte-flipped `.mffw` or `.mvol` file makes
-its decoder raise only its own typed error (`CheckpointError`, `MvolError`),
-and a damaged `spec.txt` read back through `phantom --config` ends in exit
-status 0 or 2, never in a traceback.
+"""Property tests: a truncated or byte-flipped `.mffw`, `.mvol` or pose file
+makes its decoder raise only its own typed error (`CheckpointError`,
+`MvolError`, `PoseError`), and a damaged `spec.txt` read back through
+`phantom --config` ends in exit status 0 or 2, never in a traceback.
 
 Each example writes a file of its own: on ext4, truncating and rewriting an
 existing file costs tens of milliseconds, creating a new one well under one."""
@@ -19,7 +19,8 @@ from hypothesis import strategies as st  # noqa: E402
 from tbcalib import cli  # noqa: E402
 from tbcalib.nn import MFFNet, NetworkConfig  # noqa: E402
 from tbcalib.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint  # noqa: E402
-from tbcalib.phantom import RigidPose  # noqa: E402
+from tbcalib.phantom import (PoseError, RigidPose, read_pose, rotation_from_euler_deg,  # noqa: E402
+                             write_pose)
 from tbcalib.volume import LabelMask, MvolError, Volume, read_mvol, write_mvol  # noqa: E402
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -100,6 +101,24 @@ def test_damaged_mvol_raises_only_mvol_error(mvol_bytes, tmp_path):
         try:
             read_mvol(path)
         except MvolError:
+            pass
+
+    check()
+
+
+def test_damaged_pose_raises_only_pose_error(tmp_path_factory, tmp_path):
+    pose = RigidPose(rotation_from_euler_deg(8, -6, 12), [1.0, -2.0, 1.5])
+    data = saved_bytes(tmp_path_factory, "pose.txt", lambda p: write_pose(pose, p))
+    paths = fresh_paths(tmp_path, ".txt")
+
+    @FUZZ
+    @given(damaged(data, hot=len(data)))
+    def check(damaged_data):
+        path = next(paths)
+        path.write_bytes(damaged_data)
+        try:
+            read_pose(path)
+        except PoseError:
             pass
 
     check()

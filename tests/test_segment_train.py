@@ -10,11 +10,11 @@ from tbcalib import segment, train
 from tbcalib.nn import MFFNet, NetworkConfig
 from tbcalib.nn.checkpoint import (CheckpointError, load_checkpoint,
                                    read_checkpoint_arrays, save_checkpoint)
-from tbcalib.phantom import PhantomSpec, generate_phantom
+from tbcalib.phantom import PhantomSpec, generate_phantom, sample_training_pair
 from tbcalib.segment import (EmptySegmentationError, keep_largest_components,
                              predict_probabilities, sliding_window_infer, threshold_segment)
 from tbcalib.train import CHECK_EVERY, train_network
-from tbcalib.volume import Volume
+from tbcalib.volume import Volume, normalize_intensity
 
 
 def tiny_config():
@@ -107,6 +107,24 @@ def test_train_deterministic_in_seed():
     assert [h["total"] for h in hist_a] == [h["total"] for h in hist_b]
     for (_, pa), (_, pb) in zip(net_a.named_params(), net_b.named_params()):
         np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def test_batch_samples_draw_distinct_seeds_and_windows(monkeypatch):
+    """The two samples of a batch-2 step are two draws, not one window
+    trained on twice."""
+    draws = []
+
+    def spy(vol, mask, seed):
+        pair = sample_training_pair(vol, mask, seed=seed)
+        draws.append((seed, pair[0].values))
+        return pair
+
+    monkeypatch.setattr(train, "sample_training_pair", spy)
+    vol, mask, _ = phantom()
+    train_network(vol, mask, iterations=1, seed=4, config=tiny_config())
+    (seed_a, window_a), (seed_b, window_b) = draws
+    assert seed_a != seed_b
+    assert not np.array_equal(window_a, window_b)
 
 
 def test_trained_net_holds_no_cached_activations():
@@ -255,17 +273,17 @@ def test_checkpoint_missing_buffer_rejected(tmp_path):
         load_checkpoint(net, path)
 
 
-def test_checkpoint_flags_byte_is_ignored(tmp_path):
-    net = MFFNet(tiny_config(), seed=1)
+@pytest.mark.parametrize("offset", [5, 6, 7])
+def test_checkpoint_reserved_header_byte_must_be_zero(tmp_path, offset):
+    """Bytes 5-7 are reserved: written as 0, and refused on read otherwise."""
     path = tmp_path / "net.mffw"
-    save_checkpoint(net, path)
+    save_checkpoint(MFFNet(tiny_config(), seed=1), path)
     raw = bytearray(path.read_bytes())
-    raw[5] = 1
+    assert raw[5:8] == bytes(3)
+    raw[offset] = 0xAB
     path.write_bytes(bytes(raw))
-    other = MFFNet(tiny_config(), seed=2)
-    load_checkpoint(other, path)
-    for (_, pa), (_, pb) in zip(net.named_params(), other.named_params()):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    with pytest.raises(CheckpointError, match=f"reserved header byte {offset} is 0xab, not 0"):
+        load_checkpoint(MFFNet(tiny_config(), seed=2), path)
 
 
 def test_checkpoint_unexpected_entry_rejected(tmp_path):
@@ -386,6 +404,31 @@ def test_tiled_inference_equals_whole_field(monkeypatch):
     assert tiled.shape == whole.shape == vol.voxels.shape
     assert np.ptp(whole) > 0.01
     np.testing.assert_allclose(tiled, whole, rtol=0, atol=1e-6)
+
+
+def test_padding_is_the_normalized_minimum():
+    """A field whose dims are not multiples of 4 is padded with its air
+    value, the normalized field's minimum, which here is not 0."""
+    rng = np.random.default_rng(3)
+    vol = Volume(voxels=rng.uniform(200, 900, size=(5, 6, 9)).astype(np.float32))
+    data = normalize_intensity(vol).voxels
+    assert data.min() > 0.25
+    inputs = []
+
+    class Recorder:
+        dtype = np.float32
+
+        def forward(self, x, training=False):
+            inputs.append(x[0].copy())
+            return np.zeros_like(x), []
+
+    predict_probabilities(Recorder(), vol)
+    (x,) = inputs
+    assert x.shape == (8, 8, 12)
+    np.testing.assert_array_equal(x[:5, :6, :9], data)
+    pad = np.ones(x.shape, dtype=bool)
+    pad[:5, :6, :9] = False
+    assert np.all(x[pad] == data.min())
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, -0.5, float("nan")])

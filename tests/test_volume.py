@@ -146,6 +146,21 @@ def test_mvol_bad_dtype(tmp_path):
         read_mvol(p)
 
 
+@pytest.mark.parametrize("offset", [6, 7, 44, 45, 46, 47])
+@pytest.mark.parametrize("obj", [Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32)),
+                                 LabelMask(voxels=np.zeros((2, 2, 2), dtype=np.uint8))],
+                         ids=["volume", "mask"])
+def test_mvol_reserved_header_byte_must_be_zero(tmp_path, obj, offset):
+    p = tmp_path / "reserved.mvol"
+    write_mvol(obj, p)
+    raw = bytearray(p.read_bytes())
+    assert raw[offset] == 0
+    raw[offset] = 0xAB
+    p.write_bytes(bytes(raw))
+    with pytest.raises(MvolError, match=f"reserved header byte {offset} is 0xab, not 0"):
+        read_mvol(p)
+
+
 def test_mvol_bad_version(tmp_path):
     v = Volume(voxels=np.zeros((2, 2, 2), dtype=np.float32))
     p = tmp_path / "ver.mvol"
